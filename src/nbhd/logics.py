@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib.resources import files as _package_files
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -440,37 +441,74 @@ class SchemaVerdict:
     note: str | None = None
 
 
-class _Plan:
-    """Pool-derived iteration structure, shared across models."""
+class _Instances:
+    """One schema's instances over a pool, with groups named by position.
 
-    __slots__ = ("pool", "pairs", "disjoint_pairs", "triples")
+    Positions ``0 .. len(pool) - 1`` are the pool itself; each later
+    position is ``extras[k - len(pool)]``, a union the schema needs that
+    is not in the pool, in the order the instance loop first meets it.
+    Deriving ``pool + extras`` in that order therefore derives what the
+    loop over every instance would, in the same order.
+    """
+
+    __slots__ = ("extras", "items")
+
+    def __init__(self, pool: tuple[Group, ...],
+                 rows: Iterable[tuple[tuple[int, ...], tuple[Group, ...]]]):
+        where: dict[Group, int] = {}
+        for i, g in enumerate(pool):
+            where.setdefault(g, i)
+        extras: list[Group] = []
+        items = []
+        for indices, unions in rows:
+            for u in unions:
+                if u not in where:
+                    where[u] = len(pool) + len(extras)
+                    extras.append(u)
+            items.append(indices + tuple(where[u] for u in unions))
+        self.extras = tuple(extras)
+        self.items = tuple(items)
+
+
+class _Plan:
+    """Pool-derived iteration structure, shared across models.
+
+    ``pairs`` and ``disjoint_pairs`` hold ``(g, h, g|h)`` and ``triples``
+    ``(g, h, j, g|h, g|h|j)`` as positions (see :class:`_Instances`);
+    ``g``, ``h`` and ``j`` always index the pool.  Triples sharing the
+    key ``(G, G|H, G|H|J)`` test the same sets, so only the first of
+    each key in (G, H, J) order is kept: it is the one a loop over all
+    triples would report.
+    """
+
+    __slots__ = ("pairs", "disjoint_pairs", "triples")
 
     def __init__(self, pool: tuple[Group, ...]):
-        self.pool = pool
-        self.pairs = tuple((g, h, g | h) for g in pool for h in pool)
-        self.disjoint_pairs = tuple(p for p in self.pairs
-                                    if p[0].isdisjoint(p[1]))
+        idx = range(len(pool))
+        pairs = [((i, j), (pool[i] | pool[j],)) for i in idx for j in idx]
+        self.pairs = _Instances(pool, pairs)
+        self.disjoint_pairs = _Instances(
+            pool, (((i, j), u) for (i, j), u in pairs
+                   if pool[i].isdisjoint(pool[j])))
+        seen: set[tuple[Group, Group, Group]] = set()
         triples = []
-        for g in pool:
-            for h in pool:
-                m = g | h
-                for j in pool:
-                    l_ = m | j
-                    triples.append((g, h, j, m, l_,
-                                    (g.members, m.members, l_.members)))
-        self.triples = tuple(triples)
+        for (i, j), (m,) in pairs:
+            for k in idx:
+                l_ = m | pool[k]
+                if (pool[i], m, l_) not in seen:
+                    seen.add((pool[i], m, l_))
+                    triples.append(((i, j, k), (m, l_)))
+        self.triples = _Instances(pool, triples)
 
 
-_PLANS: dict[tuple[tuple[int, ...], ...], _Plan] = {}
+@lru_cache(maxsize=64)
+def _plan_for(key: tuple[tuple[int, ...], ...]) -> _Plan:
+    return _Plan(tuple(Group(members) for members in key))
 
 
-def _plan_for(pool: tuple[Group, ...]) -> _Plan:
-    key = tuple(g.members for g in pool)
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _Plan(pool)
-        _PLANS[key] = plan
-    return plan
+# The instance set each pool-quantified schema ranges over.
+_SHAPES = {"B1": "disjoint_pairs", "CG": "pairs", "B2": "pairs",
+           "B3": "triples", "B4": "pairs", "SA": "pairs"}
 
 
 def _mem(fam: frozenset[int], rng: Sequence[int], full_range: bool) -> list[int]:
@@ -490,61 +528,57 @@ def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
         return WorldSet(bits, n)
 
     k = s.kind
-    plan = _plan_for(pool)
-    fam = {g: group_families(m, g) for g in pool}
+    p = len(pool)
+    tab = [group_families(m, g) for g in pool]
+    shape = _SHAPES.get(k)
+    if shape is not None:
+        inst = getattr(_plan_for(tuple(g.members for g in pool)), shape)
+        tab += [group_families(m, u) for u in inst.extras]
+        items = inst.items
 
     if k in ("B1", "CG"):
-        pairs = plan.disjoint_pairs if k == "B1" else plan.pairs
-        lifted = [(g, h, group_families(m, u)) for g, h, u in pairs]
         for w in range(n):
-            mem = {g: _mem(fam[g][w], rng, full_range) for g in pool}
-            for g, h, fam_u in lifted:
-                target = fam_u[w]
+            at = [f[w] for f in tab]
+            mem = [_mem(f, rng, full_range) for f in at[:p]]
+            for g, h, u in items:
+                target = at[u]
                 for x in mem[g]:
                     for y in mem[h]:
                         if (x & y) not in target:
                             return CounterExample(
-                                label[w], (("G", g), ("H", h)),
+                                label[w], (("G", pool[g]), ("H", pool[h])),
                                 (("phi", ws(x)), ("psi", ws(y))))
         return None
 
     if k == "B2":
-        lifted = [(g, h, group_families(m, u)) for g, h, u in plan.pairs]
         for w in range(n):
-            for g, h, fam_u in lifted:
-                if full in fam_u[w] and full not in fam[g][w]:
-                    return CounterExample(label[w], (("G", g), ("H", h)))
+            at = [f[w] for f in tab]
+            for g, h, u in items:
+                if full in at[u] and full not in at[g]:
+                    return CounterExample(label[w],
+                                          (("G", pool[g]), ("H", pool[h])))
         return None
 
     if k == "B3":
-        lifted = [(g, h, j, group_families(m, mm), group_families(m, ll), key)
-                  for g, h, j, mm, ll, key in plan.triples]
         for w in range(n):
-            mem = {g: _mem(fam[g][w], rng, full_range) for g in pool}
-            memo: dict[tuple, int | None] = {}
-            for g, h, j, fam_m, fam_l, key in lifted:
-                if key in memo:
-                    found = memo[key]
-                else:
-                    found = None
-                    in_l, in_m = fam_l[w], fam_m[w]
-                    for x in mem[g]:
-                        if x in in_l and x not in in_m:
-                            found = x
-                            break
-                    memo[key] = found
-                if found is not None:
-                    return CounterExample(
-                        label[w], (("G", g), ("H", h), ("J", j)),
-                        (("phi", ws(found)),))
+            at = [f[w] for f in tab]
+            mem = [_mem(f, rng, full_range) for f in at[:p]]
+            for g, h, j, u, v in items:
+                in_m, in_l = at[u], at[v]
+                for x in mem[g]:
+                    if x in in_l and x not in in_m:
+                        return CounterExample(
+                            label[w],
+                            (("G", pool[g]), ("H", pool[h]), ("J", pool[j])),
+                            (("phi", ws(x)),))
         return None
 
     if k == "B4":
-        lifted = [(g, h, group_families(m, u)) for g, h, u in plan.pairs]
         for w in range(n):
-            mem = {g: _mem(fam[g][w], rng, full_range) for g in pool}
-            for g, h, fam_u in lifted:
-                target, fam_h = fam_u[w], fam[h][w]
+            at = [f[w] for f in tab]
+            mem = [_mem(f, rng, full_range) for f in at[:p]]
+            for g, h, u in items:
+                target, fam_h = at[u], at[h]
                 for x in mem[g]:
                     if x in target:
                         continue
@@ -555,47 +589,48 @@ def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
                     for y in rng:
                         if (x | y) in fam_h:
                             return CounterExample(
-                                label[w], (("G", g), ("H", h)),
+                                label[w], (("G", pool[g]), ("H", pool[h])),
                                 (("phi", ws(x)), ("psi", ws(y))))
         return None
 
     if k == "SA":
-        lifted = [(g, h, group_families(m, u)) for g, h, u in plan.pairs]
         for w in range(n):
-            mem = {g: _mem(fam[g][w], rng, full_range) for g in pool}
-            for g, h, fam_u in lifted:
-                target = fam_u[w]
+            at = [f[w] for f in tab]
+            mem = [_mem(f, rng, full_range) for f in at[:p]]
+            for g, h, u in items:
+                target = at[u]
                 for x in mem[g]:
                     if x not in target:
                         return CounterExample(
-                            label[w], (("G", g), ("H", h)), (("phi", ws(x)),))
+                            label[w], (("G", pool[g]), ("H", pool[h])),
+                            (("phi", ws(x)),))
         return None
 
     if k == "TG":
         for w in range(n):
-            for g in pool:
-                for x in _mem(fam[g][w], rng, full_range):
+            for g, f in enumerate(tab):
+                for x in _mem(f[w], rng, full_range):
                     if not (x >> w) & 1:
                         return CounterExample(
-                            label[w], (("G", g),), (("phi", ws(x)),))
+                            label[w], (("G", pool[g]),), (("phi", ws(x)),))
         return None
 
     if k == "PG":
         for w in range(n):
-            for g in pool:
-                if 0 in fam[g][w]:
-                    return CounterExample(label[w], (("G", g),))
+            for g, f in enumerate(tab):
+                if 0 in f[w]:
+                    return CounterExample(label[w], (("G", pool[g]),))
         return None
 
     if k == "RMG":
         for w in range(n):
-            for g in pool:
-                members = fam[g][w]
+            for g, f in enumerate(tab):
+                members = f[w]
                 for x in _mem(members, rng, full_range):
                     for y in rng:
                         if (x | y) not in members:
                             return CounterExample(
-                                label[w], (("G", g),),
+                                label[w], (("G", pool[g]),),
                                 (("phi", ws(x)), ("psi", ws(y))))
         return None
 

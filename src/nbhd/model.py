@@ -47,14 +47,22 @@ _PRODUCT_LIMIT = 1_000_000
 
 
 def _state_cap(default: int) -> int:
-    """Resource guard, loweable (never raisable) via NBHD_MAX_STATES."""
+    """Resource guard, loweable (never raisable) via NBHD_MAX_STATES.
+
+    Every guard reads the variable through here, so a value that is not
+    a positive integer fails the same way in each of them.
+    """
     raw = os.environ.get("NBHD_MAX_STATES")
     if not raw:
         return default
     try:
-        return min(default, int(raw))
+        cap = int(raw)
     except ValueError:
-        return default
+        cap = 0
+    if cap < 1:
+        raise ResourceLimitError(
+            f"NBHD_MAX_STATES={raw!r} is not a positive integer")
+    return min(default, cap)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ to have the finite model property.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
@@ -32,8 +31,8 @@ from .logics import (
     format_schema,
 )
 from .model import (
-    AgentModel, Model, NeighbourhoodMap, World, WorldSet, model_to_dict,
-    truth_set, unions_up_to,
+    AgentModel, Model, NeighbourhoodMap, World, WorldSet, _state_cap,
+    model_to_dict, truth_set, unions_up_to,
 )
 
 __all__ = [
@@ -64,7 +63,8 @@ class Stream:
 
     The initial state is ``mix64((seed * GAMMA + draw) mod 2^64)``; each
     call to :meth:`next` advances the state by GAMMA and returns its
-    mix.  ``below(k)`` reduces by remainder — fine at these ranges.
+    mix.  ``below(k)`` reduces by remainder: exact for a power of two,
+    otherwise off uniform by a total variation of at most k/2^64.
     """
 
     __slots__ = ("state",)
@@ -96,7 +96,7 @@ class SearchBounds:
     """Search space plus generation mode.
 
     Exhaustive mode is guarded (at most 2 worlds, 2 agents, 2 atoms:
-    about 17 million models at the limit, and most searches stop far
+    1 048 640 models at the limit, and most searches stop far
     earlier).  Random mode needs an explicit seed — there is no
     implicit one — and at most 6 worlds so a single 64-bit draw covers
     a family code.
@@ -286,19 +286,23 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
+# Models in the largest space SearchBounds admits: 2 agents and 2 atoms
+# over 1 world (4 * 4^2) plus over 2 worlds (16 * 16^4).
+_EXHAUSTIVE_LIMIT = 64 + 1_048_576
+
 
 def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     """Every model within the bounds, frame constraints as filters.
 
     Order: domain size ascending; then valuation codes (per atom, last
     atom fastest); then family codes per (agent, world) slot, agents in
-    bounds order, worlds ascending, last slot fastest.  NBHD_MAX_STATES
-    caps the number of models visited.
+    bounds order, worlds ascending, last slot fastest.  At most
+    1 048 640 models are visited, the size of the largest space the
+    bounds admit; NBHD_MAX_STATES may lower that cap.
     """
     if bounds.mode != "exhaustive":
         raise ValueError("exhaustive_models needs bounds in exhaustive mode")
-    cap_text = os.environ.get("NBHD_MAX_STATES")
-    cap = int(cap_text) if cap_text else None
+    cap = _state_cap(_EXHAUSTIVE_LIMIT)
     visited = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(World(i, f"w{i}") for i in range(n))
@@ -311,7 +315,7 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
                          for atom, bits in zip(bounds.atoms, vcodes)}
             for fcodes in itertools.product(range(n_fams), repeat=slots):
                 visited += 1
-                if cap is not None and visited > cap:
+                if visited > cap:
                     raise ResourceLimitError(
                         f"exhaustive search visited more than {cap} models "
                         "(NBHD_MAX_STATES)")

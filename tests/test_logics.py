@@ -263,6 +263,9 @@ def test_check_schema_argument_errors(monkeypatch):
     monkeypatch.setenv("NBHD_MAX_STATES", "4")
     with pytest.raises(ResourceLimitError, match="definable-only"):
         check_schema_semantically(m, B1)
+    monkeypatch.setenv("NBHD_MAX_STATES", "lots")
+    with pytest.raises(ResourceLimitError, match="NBHD_MAX_STATES='lots'"):
+        check_schema_semantically(m, B1)
 
 
 def test_disagreement_note_is_skipped_over_the_guard(monkeypatch):

@@ -153,6 +153,12 @@ def test_product_guard(monkeypatch):
     # values above the built-in limit are clamped, never widen it
     monkeypatch.setenv("NBHD_MAX_STATES", "99999999")
     assert group_families(m, G12)[0] == frozenset({0, 1, 2, 3})
+    m._group_cache.clear()
+    for bad in ("lots", "0", "-5"):
+        monkeypatch.setenv("NBHD_MAX_STATES", bad)
+        with pytest.raises(ResourceLimitError,
+                           match=f"NBHD_MAX_STATES='{bad}' is not a positive"):
+            group_families(m, G12)
 
 
 # ---------------------------------------------------------------------------

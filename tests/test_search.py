@@ -54,6 +54,9 @@ def test_stream_frozen_vector_and_determinism():
 
 def test_stream_below():
     s = Stream(1, 2)
+    # below() takes a remainder: this vector pins it for a bound that is
+    # not a power of two
+    assert [s.below(7) for _ in range(8)] == [4, 6, 0, 1, 0, 2, 5, 1]
     for _ in range(50):
         assert 0 <= s.below(7) < 7
     with pytest.raises(ValueError):
@@ -241,6 +244,9 @@ def test_exhaustive_visit_cap(monkeypatch):
         list(exhaustive_models(b))
     with pytest.raises(ValueError, match="exhaustive mode"):
         list(exhaustive_models(_bounds()))
+    monkeypatch.setenv("NBHD_MAX_STATES", "lots")
+    with pytest.raises(ResourceLimitError, match="NBHD_MAX_STATES='lots'"):
+        list(exhaustive_models(b))
 
 
 # ---------------------------------------------------------------------------
