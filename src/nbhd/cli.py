@@ -72,15 +72,6 @@ def _set_text(m, ws: WorldSet) -> str:
     return "{" + ",".join(_labels(m, ws.bits)) + "}"
 
 
-def _cx_text(cx: CounterExample, m) -> str:
-    parts = [f"world {cx.world}"]
-    if cx.agent is not None:
-        parts.append(f"agent {cx.agent}")
-    parts.extend(f"{name}={{{g}}}" for name, g in cx.groups)
-    parts.extend(f"{name}={_set_text(m, ws)}" for name, ws in cx.sets)
-    return ", ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Handlers.  Each returns (exit code, text lines, json payload).
 
@@ -140,7 +131,7 @@ def _cmd_valid(args):
     where = (f"draw {result.draw}" if result.draw is not None
              else f"index {result.index}")
     if isinstance(result.witness, CounterExample):
-        witness_text = _cx_text(result.witness, m)
+        witness_text = result.witness.describe([w.label for w in m.worlds])
         payload["witness"] = counterexample_to_dict(result.witness, m)
     else:
         witness_text = f"false at {result.witness}"
@@ -169,7 +160,8 @@ def _cmd_schema(args):
     else:
         payload["counterexample"] = counterexample_to_dict(
             verdict.counterexample, m)
-        lines.append("counterexample: " + _cx_text(verdict.counterexample, m))
+        lines.append("counterexample: " + verdict.counterexample.describe(
+            [w.label for w in m.worlds]))
         code = 1
     if verdict.note:
         lines.append(f"note: {verdict.note}")
@@ -275,7 +267,8 @@ def _reproduce_independence():
                     verdict.counterexample, m)
                 witness_lines.append(
                     f"{name} refutes {format_schema(s)} at "
-                    + _cx_text(verdict.counterexample, m))
+                    + verdict.counterexample.describe(
+                        [w.label for w in m.worlds]))
                 if name == "M1" and s == B1:
                     if verdict.counterexample != _M1_B1_WITNESS:
                         ok = False
@@ -322,7 +315,8 @@ def _reproduce_group_factivity():
             entry["counterexample"] = counterexample_to_dict(
                 verdict.counterexample, m)
             lines.append(f"tg on pool {pool_text}: refuted at "
-                         + _cx_text(verdict.counterexample, m))
+                         + verdict.counterexample.describe(
+                             [w.label for w in m.worlds]))
         if verdict.note:
             lines.append(f"  note: {verdict.note}")
         checks.append(entry)

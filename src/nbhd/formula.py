@@ -408,42 +408,28 @@ def boxed_atoms(f: Formula) -> frozenset[Formula]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_prop(f: Formula, env: dict[Formula, bool]) -> bool:
-    if isinstance(f, (Atom, Box)):
-        return env[f]
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Not):
-        return not _eval_prop(f.body, env)
-    if isinstance(f, Or):
-        return _eval_prop(f.left, env) or _eval_prop(f.right, env)
-    if isinstance(f, And):
-        return _eval_prop(f.left, env) and _eval_prop(f.right, env)
-    if isinstance(f, Implies):
-        return (not _eval_prop(f.left, env)) or _eval_prop(f.right, env)
-    if isinstance(f, Iff):
-        return _eval_prop(f.left, env) == _eval_prop(f.right, env)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 _MAX_TAUTOLOGY_UNITS = 20
 
 
 def is_propositional_tautology(f: Formula) -> bool:
     """Truth-table check treating atoms and boxed subformulas as opaque units.
 
-    Exponential in the number of distinct units; refuses to run beyond
-    20 units, which is far above anything the proof checker meets.
+    The whole table is evaluated at once, one bit per row: unit ``i`` is
+    true in row ``r`` iff bit ``i`` of ``r`` is set.  Memory and time
+    grow with 2^k for k distinct units; refuses to run beyond 20 units,
+    which is far above anything the proof checker meets.
     """
-    units = sorted(boxed_atoms(f), key=render)
+    from .model import _truth_bits  # model imports this module
+
+    units = boxed_atoms(f)
     if len(units) > _MAX_TAUTOLOGY_UNITS:
         raise ResourceLimitError(
             f"tautology check over {len(units)} units exceeds the "
             f"{_MAX_TAUTOLOGY_UNITS}-unit guard")
-    for assignment in range(1 << len(units)):
-        env = {u: bool((assignment >> i) & 1) for i, u in enumerate(units)}
-        if not _eval_prop(f, env):
-            return False
-    return True
+    rows = 1 << len(units)
+    memo = {}
+    for i, u in enumerate(units):
+        run = 1 << i  # rows alternate runs of 2^i with unit i false and true
+        memo[u] = int(("1" * run + "0" * run) * (rows // (2 * run)), 2)
+    full = (1 << rows) - 1
+    return _truth_bits(None, f, memo, full) == full

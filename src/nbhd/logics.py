@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib.resources import files as _package_files
+from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ProofFormatError, ResourceLimitError
 from .formula import (
-    And, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
+    And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
     is_propositional_tautology, parse, render,
 )
 from .model import (
@@ -57,24 +58,67 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Schema identifiers
+#
+# Each schema is written once, as a pattern formula: ``phi`` and ``psi``
+# are formula metavariables, a box's group is a tuple of group variables
+# standing for their union, and ``A`` is the agent of an agent schema.
 
-_KINDS = ("B1", "B2", "B3", "B4", "CG", "SA", "TG", "PG", "RMG",
-          "NEC", "CONEC", "P", "COP", "DI")
-_AGENT_KINDS = frozenset({"NEC", "CONEC", "P", "COP", "DI"})
+_PHI, _PSI = Atom("phi"), Atom("psi")
+_AGGREGATION = Implies(And(Box(("G",), _PHI), Box(("H",), _PSI)),
+                       Box(("G", "H"), And(_PHI, _PSI)))
+_PATTERNS: dict[str, Formula] = {
+    "B1": _AGGREGATION,
+    "B2": Implies(Box(("G", "H"), Top()), Box(("G",), Top())),
+    "B3": Implies(And(Box(("G",), _PHI), Box(("G", "H", "J"), _PHI)),
+                  Box(("G", "H"), _PHI)),
+    "B4": Implies(And(Box(("G",), _PHI), Box(("H",), Or(_PHI, _PSI))),
+                  Box(("G", "H"), _PHI)),
+    "CG": _AGGREGATION,
+    "SA": Implies(Box(("G",), _PHI), Box(("G", "H"), _PHI)),
+    "TG": Implies(Box(("G",), _PHI), _PHI),
+    "PG": Not(Box(("G",), Bottom())),
+    "RMG": Implies(Box(("G",), _PHI), Box(("G",), Or(_PHI, _PSI))),
+    "NEC": Box(("A",), Top()),
+    "CONEC": Not(Box(("A",), Top())),
+    "P": Not(Box(("A",), Bottom())),
+    "COP": Box(("A",), Bottom()),
+    "DI": Implies(Box(("A",), _PHI), Not(Box(("A",), Not(_PHI)))),
+}
+
+
+def _unify(p: Formula, f: object, env: dict, boxes: list) -> bool:
+    """Walk pattern ``p`` and ``f`` together, binding or comparing the
+    formula metavariables in ``env`` and appending each box's (variable
+    tuple, group) pair to ``boxes``."""
+    if isinstance(p, Atom):
+        return env.setdefault(p.name, f) == f
+    if type(f) is not type(p):
+        return False
+    if isinstance(p, Box):
+        boxes.append((p.group, f.group))
+    if isinstance(p, (Box, Not)):
+        return _unify(p.body, f.body, env, boxes)
+    if isinstance(p, (And, Or, Implies)):
+        return (_unify(p.left, f.left, env, boxes)
+                and _unify(p.right, f.right, env, boxes))
+    return True
+
+
+def _metavariables(p: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Group and formula metavariables of ``p`` in order of first appearance."""
+    env, boxes = {}, []
+    _unify(p, p, env, boxes)  # a pattern matches itself at every node
+    groups = dict.fromkeys(v for names, _ in boxes for v in names)
+    return tuple(groups), tuple(env)
+
+
+_KINDS = tuple(_PATTERNS)
+_VARS = {k: _metavariables(p) for k, p in _PATTERNS.items()}
+_AGENT_KINDS = frozenset(k for k, (gs, _) in _VARS.items() if "A" in gs)
 _BASE_KINDS = frozenset({"B1", "B2", "B3", "B4"})
-
-_GROUP_VARS = {
-    "B1": ("G", "H"), "B2": ("G", "H"), "B3": ("G", "H", "J"),
-    "B4": ("G", "H"), "CG": ("G", "H"), "SA": ("G", "H"),
-    "TG": ("G",), "PG": ("G",), "RMG": ("G",),
-    "NEC": (), "CONEC": (), "P": (), "COP": (), "DI": (),
-}
-_SET_VARS = {
-    "B1": ("phi", "psi"), "B2": (), "B3": ("phi",), "B4": ("phi", "psi"),
-    "CG": ("phi", "psi"), "SA": ("phi",), "TG": ("phi",), "PG": (),
-    "RMG": ("phi", "psi"),
-    "NEC": (), "CONEC": (), "P": (), "COP": (), "DI": ("phi",),
-}
+_GROUP_VARS = {k: tuple(v for v in gs if v != "A")
+               for k, (gs, _) in _VARS.items()}
+_SET_VARS = {k: fs for k, (_, fs) in _VARS.items()}
 
 
 @dataclass(frozen=True)
@@ -136,7 +180,12 @@ def parse_schema(text: str) -> SchemaId:
     if kind in _AGENT_KINDS:
         if not sep:
             raise ValueError(f"schema {name!r} needs an agent, like {name}:1")
-        return SchemaId(kind, int(arg))
+        try:
+            agent = int(arg)
+        except ValueError:
+            raise ValueError(f"schema {name!r} needs an agent id, "
+                             f"got {arg!r}") from None
+        return SchemaId(kind, agent)
     if sep:
         raise ValueError(f"schema {name!r} takes no agent")
     return SchemaId(kind)
@@ -204,6 +253,22 @@ def logic_to_dict(l: LogicDescriptor) -> dict:
 # Syntactic instantiation and recognition
 
 
+def _union(groups: Iterable[Group]) -> Group:
+    return reduce(or_, groups)
+
+
+def _substitute(p: Formula, env: Mapping[str, "Group | Formula"]) -> Formula:
+    if isinstance(p, Atom):
+        return env[p.name]
+    if isinstance(p, Box):
+        return Box(_union(env[v] for v in p.group), _substitute(p.body, env))
+    if isinstance(p, Not):
+        return Not(_substitute(p.body, env))
+    if isinstance(p, (And, Or, Implies)):
+        return type(p)(_substitute(p.left, env), _substitute(p.right, env))
+    return p
+
+
 def instantiate_schema(s: SchemaId,
                        binding: Mapping[str, "Group | Formula"]) -> Formula:
     """Build the axiom instance of ``s`` under ``binding``.
@@ -212,191 +277,45 @@ def instantiate_schema(s: SchemaId,
     (groups G/H/J, formulas phi/psi).  For B1 the groups G and H must
     be disjoint.
     """
-    gs: dict[str, Group] = {}
-    fs: dict[str, Formula] = {}
-    expected = set(_GROUP_VARS[s.kind]) | set(_SET_VARS[s.kind])
+    group_vars, set_vars = _GROUP_VARS[s.kind], _SET_VARS[s.kind]
+    expected = set(group_vars) | set(set_vars)
     if set(binding) != expected:
         raise ValueError(f"schema {format_schema(s)} needs exactly "
                          f"{sorted(expected)}, got {sorted(binding)}")
-    for var in _GROUP_VARS[s.kind]:
-        value = binding[var]
-        if not isinstance(value, Group):
-            raise ValueError(f"{var} must be a Group")
-        gs[var] = value
-    for var in _SET_VARS[s.kind]:
-        value = binding[var]
-        if not isinstance(value, Formula):
-            raise ValueError(f"{var} must be a Formula")
-        fs[var] = value
-
-    k = s.kind
-    if k in ("B1", "CG"):
-        G, H = gs["G"], gs["H"]
-        if k == "B1" and not G.isdisjoint(H):
-            raise ValueError("B1 needs disjoint groups G and H")
-        return Implies(And(Box(G, fs["phi"]), Box(H, fs["psi"])),
-                       Box(G | H, And(fs["phi"], fs["psi"])))
-    if k == "B2":
-        G, H = gs["G"], gs["H"]
-        return Implies(Box(G | H, Top()), Box(G, Top()))
-    if k == "B3":
-        G, H, J = gs["G"], gs["H"], gs["J"]
-        phi = fs["phi"]
-        return Implies(And(Box(G, phi), Box(G | H | J, phi)),
-                       Box(G | H, phi))
-    if k == "B4":
-        G, H = gs["G"], gs["H"]
-        phi, psi = fs["phi"], fs["psi"]
-        return Implies(And(Box(G, phi), Box(H, Or(phi, psi))),
-                       Box(G | H, phi))
-    if k == "SA":
-        G, H = gs["G"], gs["H"]
-        return Implies(Box(G, fs["phi"]), Box(G | H, fs["phi"]))
-    if k == "TG":
-        return Implies(Box(gs["G"], fs["phi"]), fs["phi"])
-    if k == "PG":
-        return Not(Box(gs["G"], Bottom()))
-    if k == "RMG":
-        G = gs["G"]
-        return Implies(Box(G, fs["phi"]), Box(G, Or(fs["phi"], fs["psi"])))
-    single = Group.of(s.agent)
-    if k == "NEC":
-        return Box(single, Top())
-    if k == "CONEC":
-        return Not(Box(single, Top()))
-    if k == "P":
-        return Not(Box(single, Bottom()))
-    if k == "COP":
-        return Box(single, Bottom())
-    if k == "DI":
-        phi = fs["phi"]
-        return Implies(Box(single, phi), Not(Box(single, Not(phi))))
-    raise AssertionError(k)
+    for names, cls in ((group_vars, Group), (set_vars, Formula)):
+        for var in names:
+            if not isinstance(binding[var], cls):
+                raise ValueError(f"{var} must be a {cls.__name__}")
+    if s.kind == "B1" and not binding["G"].isdisjoint(binding["H"]):
+        raise ValueError("B1 needs disjoint groups G and H")
+    if s.agent is not None:
+        binding = {**binding, "A": Group.of(s.agent)}
+    return _substitute(_PATTERNS[s.kind], binding)
 
 
 def match_schema(s: SchemaId, f: Formula) -> "dict[str, Group | Formula] | None":
     """Structural pattern match; returns a binding that re-instantiates
     to ``f``, or None.  Modulo nothing: no normalization is applied."""
-    k = s.kind
-
-    if k in ("B1", "CG"):
-        if not (isinstance(f, Implies) and isinstance(f.left, And)
-                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
-                and isinstance(f.right, Box) and isinstance(f.right.body, And)):
-            return None
-        G, phi = f.left.left.group, f.left.left.body
-        H, psi = f.left.right.group, f.left.right.body
-        if f.right.group != G | H:
-            return None
-        if f.right.body.left != phi or f.right.body.right != psi:
-            return None
-        if k == "B1" and not G.isdisjoint(H):
-            return None
-        return {"G": G, "H": H, "phi": phi, "psi": psi}
-
-    if k == "B2":
-        if not (isinstance(f, Implies) and isinstance(f.left, Box)
-                and isinstance(f.right, Box)
-                and isinstance(f.left.body, Top)
-                and isinstance(f.right.body, Top)):
-            return None
-        K, G = f.left.group, f.right.group
-        if not G.issubset(K):
-            return None
-        return {"G": G, "H": K.difference(G) or G}
-
-    if k == "B3":
-        if not (isinstance(f, Implies) and isinstance(f.left, And)
-                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
-                and isinstance(f.right, Box)):
-            return None
-        G, phi = f.left.left.group, f.left.left.body
-        L, M = f.left.right.group, f.right.group
-        if f.left.right.body != phi or f.right.body != phi:
-            return None
-        if not (G.issubset(M) and M.issubset(L)):
-            return None
-        return {"G": G, "H": M.difference(G) or G,
-                "J": L.difference(M) or M, "phi": phi}
-
-    if k == "B4":
-        if not (isinstance(f, Implies) and isinstance(f.left, And)
-                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
-                and isinstance(f.left.right.body, Or)
-                and isinstance(f.right, Box)):
-            return None
-        G, phi = f.left.left.group, f.left.left.body
-        H = f.left.right.group
-        if f.left.right.body.left != phi or f.right.body != phi:
-            return None
-        if f.right.group != G | H:
-            return None
-        return {"G": G, "H": H, "phi": phi, "psi": f.left.right.body.right}
-
-    if k == "SA":
-        if not (isinstance(f, Implies) and isinstance(f.left, Box)
-                and isinstance(f.right, Box)):
-            return None
-        G, phi = f.left.group, f.left.body
-        K = f.right.group
-        if f.right.body != phi or not G.issubset(K):
-            return None
-        return {"G": G, "H": K.difference(G) or G, "phi": phi}
-
-    if k == "TG":
-        if not (isinstance(f, Implies) and isinstance(f.left, Box)):
-            return None
-        if f.right != f.left.body:
-            return None
-        return {"G": f.left.group, "phi": f.left.body}
-
-    if k == "PG":
-        if not (isinstance(f, Not) and isinstance(f.body, Box)
-                and isinstance(f.body.body, Bottom)):
-            return None
-        return {"G": f.body.group}
-
-    if k == "RMG":
-        if not (isinstance(f, Implies) and isinstance(f.left, Box)
-                and isinstance(f.right, Box)
-                and isinstance(f.right.body, Or)):
-            return None
-        G, phi = f.left.group, f.left.body
-        if f.right.group != G or f.right.body.left != phi:
-            return None
-        return {"G": G, "phi": phi, "psi": f.right.body.right}
-
-    single = Group.of(s.agent) if s.agent is not None else None
-    if k == "NEC":
-        if isinstance(f, Box) and f.group == single and isinstance(f.body, Top):
-            return {}
+    env: dict = {} if s.agent is None else {"A": Group.of(s.agent)}
+    boxes: list[tuple[tuple[str, ...], Group]] = []
+    if not _unify(_PATTERNS[s.kind], f, env, boxes):
         return None
-    if k == "CONEC":
-        if (isinstance(f, Not) and isinstance(f.body, Box)
-                and f.body.group == single and isinstance(f.body.body, Top)):
-            return {}
+    # Fewest variables first, so all but a box's last variable are bound.
+    for names, k in sorted(boxes, key=lambda box: len(box[0])):
+        *rest, last = names
+        if last in env:
+            if _union(env[v] for v in names) != k:
+                return None
+        elif not rest:
+            env[last] = k
+        else:
+            known = _union(env[v] for v in rest)
+            if not known.issubset(k):
+                return None
+            env[last] = k.difference(known) or known
+    if s.kind == "B1" and not env["G"].isdisjoint(env["H"]):
         return None
-    if k == "P":
-        if (isinstance(f, Not) and isinstance(f.body, Box)
-                and f.body.group == single and isinstance(f.body.body, Bottom)):
-            return {}
-        return None
-    if k == "COP":
-        if isinstance(f, Box) and f.group == single and isinstance(f.body, Bottom):
-            return {}
-        return None
-    if k == "DI":
-        if not (isinstance(f, Implies) and isinstance(f.left, Box)
-                and f.left.group == single
-                and isinstance(f.right, Not) and isinstance(f.right.body, Box)
-                and f.right.body.group == single
-                and isinstance(f.right.body.body, Not)):
-            return None
-        if f.right.body.body.body != f.left.body:
-            return None
-        return {"phi": f.left.body}
-
-    raise AssertionError(k)
+    return {v: env[v] for v in _GROUP_VARS[s.kind] + _SET_VARS[s.kind]}
 
 
 def is_axiom_instance(f: Formula, l: LogicDescriptor
@@ -423,14 +342,15 @@ class CounterExample:
     sets: tuple[tuple[str, WorldSet], ...] = ()
     agent: int | None = None
 
-    def describe(self) -> str:
+    def describe(self, labels: Sequence[str] | None = None) -> str:
+        """One line; sets show world indices, or ``labels[i]`` for world i."""
         parts = [f"world {self.world}"]
         if self.agent is not None:
             parts.append(f"agent {self.agent}")
-        parts.extend(f"{name}={{{','.join(str(a) for a in g)}}}"
-                     for name, g in self.groups)
-        parts.extend(f"{name}={{{','.join(map(str, ws.indices()))}}}"
-                     for name, ws in self.sets)
+        parts.extend(f"{name}={{{g}}}" for name, g in self.groups)
+        for name, ws in self.sets:
+            worlds = [labels[i] if labels else str(i) for i in ws.indices()]
+            parts.append(f"{name}={{{','.join(worlds)}}}")
         return ", ".join(parts)
 
 
@@ -870,7 +790,7 @@ def check_entailment_certificate(gamma: Sequence[Formula], phi: Formula,
 # ---------------------------------------------------------------------------
 # Proof serialization
 
-_GROUP_VAR_NAMES = frozenset({"G", "H", "J"})
+_GROUP_VAR_NAMES = frozenset(v for vs in _GROUP_VARS.values() for v in vs)
 
 
 def _binding_from_dict(raw: object, where: str

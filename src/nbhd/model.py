@@ -313,12 +313,14 @@ def group_neighbourhood(m: Model, g: Group, world: "World | int | str") -> tuple
 # Truth
 
 
-def _truth_bits(m: Model, f: Formula, memo: dict) -> int:
+def _truth_bits(m: Model, f: Formula, memo: dict, full: int) -> int:
+    """Truth set of ``f`` as a bit vector below the domain mask ``full``.
+
+    ``m`` is read only for atoms and boxes that ``memo`` does not hold.
+    """
     hit = memo.get(f)
     if hit is not None:
         return hit
-    n = len(m.worlds)
-    full = (1 << n) - 1
     if isinstance(f, Bottom):
         bits = 0
     elif isinstance(f, Top):
@@ -327,21 +329,24 @@ def _truth_bits(m: Model, f: Formula, memo: dict) -> int:
         ws = m.valuation.get(f.name)
         bits = ws.bits if ws is not None else 0
     elif isinstance(f, Not):
-        bits = full ^ _truth_bits(m, f.body, memo)
+        bits = full ^ _truth_bits(m, f.body, memo, full)
     elif isinstance(f, Or):
-        bits = _truth_bits(m, f.left, memo) | _truth_bits(m, f.right, memo)
+        bits = (_truth_bits(m, f.left, memo, full)
+                | _truth_bits(m, f.right, memo, full))
     elif isinstance(f, And):
-        bits = _truth_bits(m, f.left, memo) & _truth_bits(m, f.right, memo)
+        bits = (_truth_bits(m, f.left, memo, full)
+                & _truth_bits(m, f.right, memo, full))
     elif isinstance(f, Implies):
-        bits = (full ^ _truth_bits(m, f.left, memo)) | _truth_bits(m, f.right, memo)
+        bits = ((full ^ _truth_bits(m, f.left, memo, full))
+                | _truth_bits(m, f.right, memo, full))
     elif isinstance(f, Iff):
-        bits = full ^ (_truth_bits(m, f.left, memo) ^ _truth_bits(m, f.right, memo))
+        bits = full ^ (_truth_bits(m, f.left, memo, full)
+                       ^ _truth_bits(m, f.right, memo, full))
     elif isinstance(f, Box):
-        body = _truth_bits(m, f.body, memo)
-        fams = group_families(m, f.group)
+        body = _truth_bits(m, f.body, memo, full)
         bits = 0
-        for w in range(n):
-            if body in fams[w]:
+        for w, fam in enumerate(group_families(m, f.group)):
+            if body in fam:
                 bits |= 1 << w
     else:
         raise TypeError(f"not a formula: {f!r}")
@@ -354,17 +359,18 @@ def truth_set(m: Model, f: Formula) -> WorldSet:
 
     Atoms without a valuation entry are false everywhere.
     """
-    return WorldSet(_truth_bits(m, f, {}), len(m.worlds))
+    n = len(m.worlds)
+    return WorldSet(_truth_bits(m, f, {}, (1 << n) - 1), n)
 
 
 def satisfies(m: Model, world: "World | int | str", f: Formula) -> bool:
     w = world_index(m, world)
-    return bool((_truth_bits(m, f, {}) >> w) & 1)
+    return bool((_truth_bits(m, f, {}, (1 << len(m.worlds)) - 1) >> w) & 1)
 
 
 def valid_on_model(m: Model, f: Formula) -> bool:
-    n = len(m.worlds)
-    return _truth_bits(m, f, {}) == (1 << n) - 1
+    full = (1 << len(m.worlds)) - 1
+    return _truth_bits(m, f, {}, full) == full
 
 
 # ---------------------------------------------------------------------------

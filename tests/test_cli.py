@@ -174,6 +174,12 @@ def test_schema_unknown_name(capsys, m1):
     assert code == 2 and "unknown schema" in err
 
 
+def test_schema_bad_agent_id(capsys, m1):
+    code, _, err = run(capsys, "schema", "--model", m1, "--schema", "nec:x")
+    assert code == 2
+    assert "schema 'nec' needs an agent id, got 'x'" in err
+
+
 # ---------------------------------------------------------------------------
 # frame
 

@@ -1,4 +1,5 @@
-"""Witness-level differential oracle for the semantic schema checker.
+"""Differential oracles for the semantic schema checker and the schema
+patterns.
 
 ``_Plan``, ``_plan_for``, ``_mem`` and ``_find_counterexample`` below are
 verbatim copies of the loop-over-every-instance checker that the
@@ -7,22 +8,34 @@ position-indexed kernel in ``nbhd.logics`` replaced, and
 it.  The tests require the same full ``SchemaVerdict`` (validity,
 counterexample and note), the same exception type and message when the
 reference raises, and the same groups derived in the same order.
+
+``_GROUP_VARS``, ``_SET_VARS``, ``instantiate_reference`` and
+``match_reference`` are verbatim copies of the hand-written per-schema
+``instantiate_schema`` and ``match_schema`` that the pattern table in
+``nbhd.logics`` replaced.  The tests require the same instance or the
+same ``ValueError`` message, and the same binding or ``None`` from every
+schema, on random bindings with mutated instances and on every line of
+the shipped certificates and of the criterion-08 mutations.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbhd import (
-    AgentModel, B2, B3, CounterExample, GeneralModel, Group, NeighbourhoodMap,
-    ResourceLimitError, SchemaId, SchemaVerdict, World, WorldSet,
-    check_schema_semantically, default_group_pool, group_families,
+    AgentModel, And, Atom, AxiomRef, B2, B3, Bottom, Box, CERTIFICATE_NAMES,
+    CounterExample, Formula, GeneralModel, Group, Iff, Implies,
+    NeighbourhoodMap, Not, Or, ResourceLimitError, SchemaId, SchemaVerdict,
+    Top, World, WorldSet, builtin_certificate, check_schema_semantically,
+    default_group_pool, format_schema, group_families, instantiate_schema,
+    match_schema, proof_from_dict,
 )
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
 from nbhd.model import Model, _state_cap
+from test_acceptance import _MUTATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +257,218 @@ def check_schema_reference(m: Model, s: SchemaId, mode: str = "all-subsets",
 
 
 # ---------------------------------------------------------------------------
+# Reference schema instantiation and recognition (copied verbatim)
+
+_GROUP_VARS = {
+    "B1": ("G", "H"), "B2": ("G", "H"), "B3": ("G", "H", "J"),
+    "B4": ("G", "H"), "CG": ("G", "H"), "SA": ("G", "H"),
+    "TG": ("G",), "PG": ("G",), "RMG": ("G",),
+    "NEC": (), "CONEC": (), "P": (), "COP": (), "DI": (),
+}
+_SET_VARS = {
+    "B1": ("phi", "psi"), "B2": (), "B3": ("phi",), "B4": ("phi", "psi"),
+    "CG": ("phi", "psi"), "SA": ("phi",), "TG": ("phi",), "PG": (),
+    "RMG": ("phi", "psi"),
+    "NEC": (), "CONEC": (), "P": (), "COP": (), "DI": ("phi",),
+}
+
+
+def instantiate_reference(s: SchemaId,
+                          binding: Mapping[str, "Group | Formula"]) -> Formula:
+    """Build the axiom instance of ``s`` under ``binding``.
+
+    The binding must give exactly the metavariables of the schema
+    (groups G/H/J, formulas phi/psi).  For B1 the groups G and H must
+    be disjoint.
+    """
+    gs: dict[str, Group] = {}
+    fs: dict[str, Formula] = {}
+    expected = set(_GROUP_VARS[s.kind]) | set(_SET_VARS[s.kind])
+    if set(binding) != expected:
+        raise ValueError(f"schema {format_schema(s)} needs exactly "
+                         f"{sorted(expected)}, got {sorted(binding)}")
+    for var in _GROUP_VARS[s.kind]:
+        value = binding[var]
+        if not isinstance(value, Group):
+            raise ValueError(f"{var} must be a Group")
+        gs[var] = value
+    for var in _SET_VARS[s.kind]:
+        value = binding[var]
+        if not isinstance(value, Formula):
+            raise ValueError(f"{var} must be a Formula")
+        fs[var] = value
+
+    k = s.kind
+    if k in ("B1", "CG"):
+        G, H = gs["G"], gs["H"]
+        if k == "B1" and not G.isdisjoint(H):
+            raise ValueError("B1 needs disjoint groups G and H")
+        return Implies(And(Box(G, fs["phi"]), Box(H, fs["psi"])),
+                       Box(G | H, And(fs["phi"], fs["psi"])))
+    if k == "B2":
+        G, H = gs["G"], gs["H"]
+        return Implies(Box(G | H, Top()), Box(G, Top()))
+    if k == "B3":
+        G, H, J = gs["G"], gs["H"], gs["J"]
+        phi = fs["phi"]
+        return Implies(And(Box(G, phi), Box(G | H | J, phi)),
+                       Box(G | H, phi))
+    if k == "B4":
+        G, H = gs["G"], gs["H"]
+        phi, psi = fs["phi"], fs["psi"]
+        return Implies(And(Box(G, phi), Box(H, Or(phi, psi))),
+                       Box(G | H, phi))
+    if k == "SA":
+        G, H = gs["G"], gs["H"]
+        return Implies(Box(G, fs["phi"]), Box(G | H, fs["phi"]))
+    if k == "TG":
+        return Implies(Box(gs["G"], fs["phi"]), fs["phi"])
+    if k == "PG":
+        return Not(Box(gs["G"], Bottom()))
+    if k == "RMG":
+        G = gs["G"]
+        return Implies(Box(G, fs["phi"]), Box(G, Or(fs["phi"], fs["psi"])))
+    single = Group.of(s.agent)
+    if k == "NEC":
+        return Box(single, Top())
+    if k == "CONEC":
+        return Not(Box(single, Top()))
+    if k == "P":
+        return Not(Box(single, Bottom()))
+    if k == "COP":
+        return Box(single, Bottom())
+    if k == "DI":
+        phi = fs["phi"]
+        return Implies(Box(single, phi), Not(Box(single, Not(phi))))
+    raise AssertionError(k)
+
+
+def match_reference(s: SchemaId, f: Formula) -> "dict[str, Group | Formula] | None":
+    """Structural pattern match; returns a binding that re-instantiates
+    to ``f``, or None.  Modulo nothing: no normalization is applied."""
+    k = s.kind
+
+    if k in ("B1", "CG"):
+        if not (isinstance(f, Implies) and isinstance(f.left, And)
+                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
+                and isinstance(f.right, Box) and isinstance(f.right.body, And)):
+            return None
+        G, phi = f.left.left.group, f.left.left.body
+        H, psi = f.left.right.group, f.left.right.body
+        if f.right.group != G | H:
+            return None
+        if f.right.body.left != phi or f.right.body.right != psi:
+            return None
+        if k == "B1" and not G.isdisjoint(H):
+            return None
+        return {"G": G, "H": H, "phi": phi, "psi": psi}
+
+    if k == "B2":
+        if not (isinstance(f, Implies) and isinstance(f.left, Box)
+                and isinstance(f.right, Box)
+                and isinstance(f.left.body, Top)
+                and isinstance(f.right.body, Top)):
+            return None
+        K, G = f.left.group, f.right.group
+        if not G.issubset(K):
+            return None
+        return {"G": G, "H": K.difference(G) or G}
+
+    if k == "B3":
+        if not (isinstance(f, Implies) and isinstance(f.left, And)
+                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
+                and isinstance(f.right, Box)):
+            return None
+        G, phi = f.left.left.group, f.left.left.body
+        L, M = f.left.right.group, f.right.group
+        if f.left.right.body != phi or f.right.body != phi:
+            return None
+        if not (G.issubset(M) and M.issubset(L)):
+            return None
+        return {"G": G, "H": M.difference(G) or G,
+                "J": L.difference(M) or M, "phi": phi}
+
+    if k == "B4":
+        if not (isinstance(f, Implies) and isinstance(f.left, And)
+                and isinstance(f.left.left, Box) and isinstance(f.left.right, Box)
+                and isinstance(f.left.right.body, Or)
+                and isinstance(f.right, Box)):
+            return None
+        G, phi = f.left.left.group, f.left.left.body
+        H = f.left.right.group
+        if f.left.right.body.left != phi or f.right.body != phi:
+            return None
+        if f.right.group != G | H:
+            return None
+        return {"G": G, "H": H, "phi": phi, "psi": f.left.right.body.right}
+
+    if k == "SA":
+        if not (isinstance(f, Implies) and isinstance(f.left, Box)
+                and isinstance(f.right, Box)):
+            return None
+        G, phi = f.left.group, f.left.body
+        K = f.right.group
+        if f.right.body != phi or not G.issubset(K):
+            return None
+        return {"G": G, "H": K.difference(G) or G, "phi": phi}
+
+    if k == "TG":
+        if not (isinstance(f, Implies) and isinstance(f.left, Box)):
+            return None
+        if f.right != f.left.body:
+            return None
+        return {"G": f.left.group, "phi": f.left.body}
+
+    if k == "PG":
+        if not (isinstance(f, Not) and isinstance(f.body, Box)
+                and isinstance(f.body.body, Bottom)):
+            return None
+        return {"G": f.body.group}
+
+    if k == "RMG":
+        if not (isinstance(f, Implies) and isinstance(f.left, Box)
+                and isinstance(f.right, Box)
+                and isinstance(f.right.body, Or)):
+            return None
+        G, phi = f.left.group, f.left.body
+        if f.right.group != G or f.right.body.left != phi:
+            return None
+        return {"G": G, "phi": phi, "psi": f.right.body.right}
+
+    single = Group.of(s.agent) if s.agent is not None else None
+    if k == "NEC":
+        if isinstance(f, Box) and f.group == single and isinstance(f.body, Top):
+            return {}
+        return None
+    if k == "CONEC":
+        if (isinstance(f, Not) and isinstance(f.body, Box)
+                and f.body.group == single and isinstance(f.body.body, Top)):
+            return {}
+        return None
+    if k == "P":
+        if (isinstance(f, Not) and isinstance(f.body, Box)
+                and f.body.group == single and isinstance(f.body.body, Bottom)):
+            return {}
+        return None
+    if k == "COP":
+        if isinstance(f, Box) and f.group == single and isinstance(f.body, Bottom):
+            return {}
+        return None
+    if k == "DI":
+        if not (isinstance(f, Implies) and isinstance(f.left, Box)
+                and f.left.group == single
+                and isinstance(f.right, Not) and isinstance(f.right.body, Box)
+                and f.right.body.group == single
+                and isinstance(f.right.body.body, Not)):
+            return None
+        if f.right.body.body.body != f.left.body:
+            return None
+        return {"phi": f.left.body}
+
+    raise AssertionError(k)
+
+
+# ---------------------------------------------------------------------------
 # Differential tests
 
 _MODES = ("all-subsets", "definable-only")
@@ -324,3 +549,125 @@ def test_three_way_union_over_the_guard():
     assert check_schema_semantically(m, B2, group_pool=pool).valid
     with pytest.raises(ResourceLimitError, match="0,1,2,3,4,5,6,7,8"):
         check_schema_semantically(m, B3, group_pool=pool)
+
+
+# ---------------------------------------------------------------------------
+# Pattern oracle: instantiate_schema and match_schema against the reference
+
+# Groups over agents 0-3 share members and are often equal, so unions,
+# subsets and B1's disjointness all come up.
+_AGENT_GROUPS = st.sets(st.integers(0, 3), min_size=1).map(
+    lambda s: Group(tuple(s)))
+_FORMULAS = st.recursive(
+    st.sampled_from([Atom("p"), Atom("q"), Atom("phi"), Top(), Bottom()]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub), st.builds(Iff, sub, sub),
+        st.builds(Box, _AGENT_GROUPS, sub)),
+    max_leaves=4)
+# A value of the wrong type for a group or for a formula variable.
+_WRONG = st.sampled_from([Top(), "p", (1, 2), None, Group.of(1)])
+
+
+def _schemas():
+    for kind in _KINDS:
+        for agent in (range(4) if kind in _AGENT_KINDS else (None,)):
+            yield SchemaId(kind, agent)
+
+
+def _children(f):
+    if isinstance(f, (Not, Box)):
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    return ()
+
+
+def _nodes(f, path=()):
+    yield path, f
+    for i, child in enumerate(_children(f)):
+        yield from _nodes(child, path + (i,))
+
+
+def _replace(f, path, new):
+    if not path:
+        return new
+    parts = list(_children(f))
+    parts[path[0]] = _replace(parts[path[0]], path[1:], new)
+    if isinstance(f, Box):
+        return Box(f.group, parts[0])
+    return type(f)(*parts)
+
+
+def _instantiated(instantiate, s, binding):
+    try:
+        return instantiate(s, binding)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_same_matches(f):
+    for s in _schemas():
+        assert match_schema(s, f) == match_reference(s, f), (s, f)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_patterns_match_reference(data):
+    draw = data.draw
+    s = draw(st.sampled_from(list(_schemas())))
+    phi = draw(_FORMULAS)
+    values = {"G": draw(_AGENT_GROUPS), "H": draw(_AGENT_GROUPS),
+              "J": draw(_AGENT_GROUPS), "phi": phi,
+              "psi": draw(st.one_of(st.just(phi), _FORMULAS))}
+    names = _GROUP_VARS[s.kind] + _SET_VARS[s.kind]
+    binding = {v: values[v] for v in names}
+    fault = draw(st.sampled_from(["none"] * 4 + ["missing", "extra", "type"]))
+    if fault == "missing" and names:
+        del binding[draw(st.sampled_from(names))]
+    elif fault == "extra":
+        extra = draw(st.sampled_from(["G", "H", "J", "phi", "psi", "A"]))
+        binding[extra] = values.get(extra, Group.of(0))
+    elif fault == "type" and names:
+        binding[draw(st.sampled_from(names))] = draw(_WRONG)
+
+    want = _instantiated(instantiate_reference, s, binding)
+    assert _instantiated(instantiate_schema, s, binding) == want
+    if isinstance(want, str):
+        return
+    f = want
+    _assert_same_matches(f)
+    nodes = list(_nodes(f))
+    if draw(st.booleans()):
+        path, _ = draw(st.sampled_from(nodes))
+        new = draw(st.one_of(st.sampled_from([phi, values["psi"]]),
+                             _FORMULAS))
+        _assert_same_matches(_replace(f, path, new))
+    boxes = [(p, n) for p, n in nodes if isinstance(n, Box)]
+    if boxes and draw(st.booleans()):
+        path, node = draw(st.sampled_from(boxes))
+        group = draw(st.one_of(
+            st.sampled_from([values["G"], values["H"], values["J"]]),
+            st.builds(lambda a, b: a | b, _AGENT_GROUPS, _AGENT_GROUPS)))
+        _assert_same_matches(_replace(f, path, Box(group, node.body)))
+
+
+def _proof_files():
+    for name in CERTIFICATE_NAMES:
+        yield proof_from_dict(builtin_certificate(name))
+    for name, mutate, _ in _MUTATIONS:
+        data = builtin_certificate(name)
+        mutate(data)
+        yield proof_from_dict(data)
+
+
+def test_patterns_match_reference_on_certificates():
+    for pf in _proof_files():
+        for line in pf.proof.lines:
+            _assert_same_matches(line.formula)
+            j = line.justification
+            if isinstance(j, AxiomRef) and j.binding is not None:
+                binding = dict(j.binding)
+                assert (_instantiated(instantiate_schema, j.schema, binding)
+                        == _instantiated(instantiate_reference, j.schema,
+                                         binding))

@@ -51,6 +51,9 @@ def test_parse_schema_errors():
         parse_schema("b1:1")
     with pytest.raises(ValueError, match="needs an agent"):
         parse_schema("nec")
+    with pytest.raises(ValueError,
+                       match="schema 'nec' needs an agent id, got 'x'"):
+        parse_schema("nec:x")
     with pytest.raises(ValueError, match="unknown schema"):
         parse_schema("zzz")
 
@@ -188,6 +191,8 @@ def test_each_fixture_refutes_exactly_its_schema(name):
 def test_counterexample_describe():
     _, cx = _MATRIX["M1"]
     assert cx.describe() == "world wp, G={1}, H={2}, phi={0,2}, psi={1,2}"
+    assert (cx.describe(["wp", "wq", "wr"])
+            == "world wp, G={1}, H={2}, phi={wp,wr}, psi={wq,wr}")
     assert CounterExample("w", agent=3).describe() == "world w, agent 3"
 
 
