@@ -37,15 +37,15 @@ from .logics import (
     AxiomRef, CounterExample, LogicDescriptor, MP, NEC, PG, Proof, ProofFile,
     ProofLine, ProofVerdict, RE, RMG, SA, SchemaId, SchemaVerdict, TG, Taut,
     builtin_certificate, check_entailment_certificate, check_proof,
-    check_schema_semantically, format_schema, instantiate_schema,
-    is_axiom_instance, load_proof, logic_from_dict, logic_to_dict,
-    match_schema, parse_schema, proof_from_dict, proof_to_dict,
+    check_schema_semantically, counterexample_to_dict, format_schema,
+    instantiate_schema, is_axiom_instance, load_proof, logic_from_dict,
+    logic_to_dict, match_schema, parse_schema, proof_from_dict, proof_to_dict,
 )
 from .logics import P as PSchema
 from .search import (
     FuzzReport, SchemaTarget, SearchBounds, SearchResult, Stream, Violation,
-    counterexample_to_dict, exhaustive_models, find_countermodel,
-    random_model, required_constraints, soundness_fuzz,
+    exhaustive_models, find_countermodel, random_model,
+    required_constraints, soundness_fuzz,
 )
 
 __version__ = "0.1.0"

@@ -33,14 +33,14 @@ from .frames import (
 from .logics import (
     B1, B2, B3, B4, TG, CounterExample,
     check_entailment_certificate, check_proof, check_schema_semantically,
-    format_schema, load_proof, parse_schema,
+    counterexample_to_dict, format_schema, load_proof, parse_schema,
 )
 from .model import (
     FIXTURE_NAMES, WorldSet, _labels, fixture,
     load_model, model_to_dict, satisfies, save_model, truth_set,
 )
 from .search import (
-    SchemaTarget, SearchBounds, counterexample_to_dict, find_countermodel,
+    SchemaTarget, SearchBounds, find_countermodel,
 )
 
 __all__ = ["main"]

@@ -292,10 +292,13 @@ def parse_condition(text: str) -> FrameCondition:
         return _SIMPLE_CONDITIONS[name]()
     if name in _AGENT_CONDITIONS:
         try:
-            return _AGENT_CONDITIONS[name](int(arg))
+            agent = int(arg)
         except ValueError:
+            agent = None
+        if agent is None or agent < 0:
             raise ModelFormatError(
-                f"condition {name!r} needs an agent id, got {arg!r}") from None
+                f"condition {name!r} needs an agent id, got {arg!r}")
+        return _AGENT_CONDITIONS[name](agent)
     if name == "pg":
         try:
             return PGroup(Group(tuple(int(p) for p in arg.split(","))))
@@ -305,16 +308,11 @@ def parse_condition(text: str) -> FrameCondition:
 
 
 def format_condition(c: FrameCondition) -> str:
-    if isinstance(c, Nec):
-        return f"nec:{c.agent}"
-    if isinstance(c, Conec):
-        return f"conec:{c.agent}"
-    if isinstance(c, P):
-        return f"p:{c.agent}"
-    if isinstance(c, Cop):
-        return f"cop:{c.agent}"
     if isinstance(c, PGroup):
         return f"pg:{c.group}"
+    for name, cls in _AGENT_CONDITIONS.items():
+        if isinstance(c, cls):
+            return f"{name}:{c.agent}"
     for name, cls in _SIMPLE_CONDITIONS.items():
         if isinstance(c, cls):
             return name

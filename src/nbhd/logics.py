@@ -17,9 +17,14 @@ outright.
 Schemas can be instantiated syntactically, recognized structurally, and
 checked semantically on a model by quantifying their set metavariables
 over all subsets of the domain or over the definable sets only, and
-their group metavariables over a caller-supplied pool.  Counterexamples
-come out in a fixed order: worlds ascending, groups in pool order, sets
-ascending by bit vector.
+their group metavariables over a caller-supplied pool.  All three read
+one table of pattern formulas.  A semantic check takes its instances
+from the pattern (group variables over the pool, boxes in walk order)
+and keeps per schema only a small test of one world's instances.  It
+skips an instance whose boxes name the same groups as an earlier one's,
+which changes no verdict and no counterexample: they come out in a
+fixed order, worlds ascending, groups in pool order, sets ascending by
+bit vector.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib.resources import files as _package_files
+from itertools import product
 from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -47,7 +53,8 @@ __all__ = [
     "NEC", "CONEC", "P", "COP", "DI",
     "LogicDescriptor", "BASE_LOGIC",
     "instantiate_schema", "match_schema", "is_axiom_instance",
-    "CounterExample", "SchemaVerdict", "check_schema_semantically",
+    "CounterExample", "counterexample_to_dict", "SchemaVerdict",
+    "check_schema_semantically",
     "Taut", "AxiomRef", "MP", "RE", "ProofLine", "Proof", "ProofFile",
     "ProofVerdict", "check_proof", "check_entailment_certificate",
     "proof_from_dict", "proof_to_dict", "load_proof",
@@ -104,21 +111,23 @@ def _unify(p: Formula, f: object, env: dict, boxes: list) -> bool:
     return True
 
 
-def _metavariables(p: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Group and formula metavariables of ``p`` in order of first appearance."""
+def _metavariables(p: Formula) -> tuple[tuple[tuple[str, ...], ...],
+                                         tuple[str, ...]]:
+    """The box group tuples of ``p`` in walk order, and its formula
+    metavariables in order of first appearance."""
     env, boxes = {}, []
     _unify(p, p, env, boxes)  # a pattern matches itself at every node
-    groups = dict.fromkeys(v for names, _ in boxes for v in names)
-    return tuple(groups), tuple(env)
+    return tuple(names for names, _ in boxes), tuple(env)
 
 
 _KINDS = tuple(_PATTERNS)
 _VARS = {k: _metavariables(p) for k, p in _PATTERNS.items()}
-_AGENT_KINDS = frozenset(k for k, (gs, _) in _VARS.items() if "A" in gs)
-_BASE_KINDS = frozenset({"B1", "B2", "B3", "B4"})
-_GROUP_VARS = {k: tuple(v for v in gs if v != "A")
-               for k, (gs, _) in _VARS.items()}
+_BOXES = {k: bs for k, (bs, _) in _VARS.items()}
 _SET_VARS = {k: fs for k, (_, fs) in _VARS.items()}
+_AGENT_KINDS = frozenset(k for k, bs in _BOXES.items() if ("A",) in bs)
+_BASE_KINDS = frozenset({"B1", "B2", "B3", "B4"})
+_GROUP_VARS = {k: tuple(dict.fromkeys(v for b in bs for v in b if v != "A"))
+               for k, bs in _BOXES.items()}
 
 
 @dataclass(frozen=True)
@@ -354,6 +363,20 @@ class CounterExample:
         return ", ".join(parts)
 
 
+def counterexample_to_dict(cx: CounterExample, m: Model) -> dict:
+    """The JSON form of ``cx``; sets list the labels of their worlds."""
+    labels = [w.label for w in m.worlds]
+    out: dict = {"world": cx.world}
+    if cx.agent is not None:
+        out["agent"] = cx.agent
+    if cx.groups:
+        out["groups"] = {name: list(g.members) for name, g in cx.groups}
+    if cx.sets:
+        out["sets"] = {name: [labels[i] for i in ws.indices()]
+                       for name, ws in cx.sets}
+    return out
+
+
 @dataclass(frozen=True)
 class SchemaVerdict:
     valid: bool
@@ -361,231 +384,170 @@ class SchemaVerdict:
     note: str | None = None
 
 
-class _Instances:
-    """One schema's instances over a pool, with groups named by position.
+@lru_cache(maxsize=256)
+def _instances(kind: str, key: tuple[tuple[int, ...], ...], agent: int | None
+               ) -> tuple[tuple[Group, ...], tuple, tuple[int, ...]]:
+    """A schema's instances over the pool with member tuples ``key``.
 
-    Positions ``0 .. len(pool) - 1`` are the pool itself; each later
-    position is ``extras[k - len(pool)]``, a union the schema needs that
-    is not in the pool, in the order the instance loop first meets it.
-    Deriving ``pool + extras`` in that order therefore derives what the
-    loop over every instance would, in the same order.
+    An instance is the table positions of its boxes, in pattern walk
+    order, followed by the tuple of pool positions of its group
+    variables.  Table positions ``0 .. len(pool) - 1`` are the pool; each
+    later one is an entry of the returned extras, a union the pool lacks
+    or the agent's group, numbered in the order the instances meet them,
+    fewest variables first.  Deriving ``pool + extras`` in that order
+    therefore derives what a loop over every instance would, in the same
+    order.  Violation tests read only the boxes, so only the first
+    instance of each tuple of box groups is kept: it is the one such a
+    loop reports.  The guards are the positions a single variable names.
     """
-
-    __slots__ = ("extras", "items")
-
-    def __init__(self, pool: tuple[Group, ...],
-                 rows: Iterable[tuple[tuple[int, ...], tuple[Group, ...]]]):
-        where: dict[Group, int] = {}
-        for i, g in enumerate(pool):
-            where.setdefault(g, i)
-        extras: list[Group] = []
-        items = []
-        for indices, unions in rows:
-            for u in unions:
-                if u not in where:
-                    where[u] = len(pool) + len(extras)
-                    extras.append(u)
-            items.append(indices + tuple(where[u] for u in unions))
-        self.extras = tuple(extras)
-        self.items = tuple(items)
-
-
-class _Plan:
-    """Pool-derived iteration structure, shared across models.
-
-    ``pairs`` and ``disjoint_pairs`` hold ``(g, h, g|h)`` and ``triples``
-    ``(g, h, j, g|h, g|h|j)`` as positions (see :class:`_Instances`);
-    ``g``, ``h`` and ``j`` always index the pool.  Triples sharing the
-    key ``(G, G|H, G|H|J)`` test the same sets, so only the first of
-    each key in (G, H, J) order is kept: it is the one a loop over all
-    triples would report.
-    """
-
-    __slots__ = ("pairs", "disjoint_pairs", "triples")
-
-    def __init__(self, pool: tuple[Group, ...]):
-        idx = range(len(pool))
-        pairs = [((i, j), (pool[i] | pool[j],)) for i in idx for j in idx]
-        self.pairs = _Instances(pool, pairs)
-        self.disjoint_pairs = _Instances(
-            pool, (((i, j), u) for (i, j), u in pairs
-                   if pool[i].isdisjoint(pool[j])))
-        seen: set[tuple[Group, Group, Group]] = set()
-        triples = []
-        for (i, j), (m,) in pairs:
-            for k in idx:
-                l_ = m | pool[k]
-                if (pool[i], m, l_) not in seen:
-                    seen.add((pool[i], m, l_))
-                    triples.append(((i, j, k), (m, l_)))
-        self.triples = _Instances(pool, triples)
+    pool = tuple(Group(members) for members in key)
+    boxes, names = _BOXES[kind], _GROUP_VARS[kind]
+    order = sorted(range(len(boxes)), key=lambda b: len(boxes[b]))
+    fixed = {} if agent is None else {"A": Group.of(agent)}
+    where: dict[Group, int] = {}
+    for i, g in enumerate(pool):
+        where.setdefault(g, i)
+    extras, items, seen = [], [], set()
+    for vs in product(range(len(pool)), repeat=len(names)):
+        env = dict(zip(names, (pool[i] for i in vs)), **fixed)
+        if kind == "B1" and not env["G"].isdisjoint(env["H"]):
+            continue
+        unions = tuple(_union(env[v] for v in b) for b in boxes)
+        if unions in seen:
+            continue
+        seen.add(unions)
+        for b in order:
+            if unions[b] not in where:
+                where[unions[b]] = len(pool) + len(extras)
+                extras.append(unions[b])
+        items.append(tuple(where[u] for u in unions) + (vs,))
+    # A guarded set variable, like phi in [G]phi, ranges over its family.
+    guards = {i[b] for i in items for b, box in enumerate(boxes)
+              if len(box) == 1} if _SET_VARS[kind] else ()
+    return tuple(extras), tuple(items), tuple(sorted(guards))
 
 
-@lru_cache(maxsize=64)
-def _plan_for(key: tuple[tuple[int, ...], ...]) -> _Plan:
-    return _Plan(tuple(Group(members) for members in key))
+# Violation tests.  Each gets one world ``w``, the families ``at`` there
+# by table position, ``mem`` (the sets in range of each guard's family,
+# ascending), the instances, the set range and the full set.  It yields
+# the violations at ``w`` in order, each as (pool positions of the
+# instance's group variables, its falsifying sets in _SET_VARS order);
+# the checker reports the first.
 
 
-# The instance set each pool-quantified schema ranges over.
-_SHAPES = {"B1": "disjoint_pairs", "CG": "pairs", "B2": "pairs",
-           "B3": "triples", "B4": "pairs", "SA": "pairs"}
+def _aggregation(w, at, mem, items, rng, full):
+    for g, h, u, vs in items:
+        target = at[u]
+        for x in mem[g]:
+            for y in mem[h]:
+                if (x & y) not in target:
+                    yield vs, (x, y)
 
 
-def _mem(fam: frozenset[int], rng: Sequence[int], full_range: bool) -> list[int]:
-    if full_range:
-        return sorted(fam)
-    return [x for x in rng if x in fam]
+def _b2(w, at, mem, items, rng, full):
+    for u, g, vs in items:
+        if full in at[u] and full not in at[g]:
+            yield vs, ()
+
+
+def _b3(w, at, mem, items, rng, full):
+    for g, l_, m_, vs in items:
+        in_l, in_m = at[l_], at[m_]
+        for x in mem[g]:
+            if x in in_l and x not in in_m:
+                yield vs, (x,)
+
+
+def _b4(w, at, mem, items, rng, full):
+    full_range = len(rng) > full  # every subset is in range
+    for g, h, u, vs in items:
+        target, fam_h = at[u], at[h]
+        for x in mem[g]:
+            if x in target:
+                continue
+            if full_range:
+                # any superset of x in N_H gives a violating psi
+                if not any(z & x == x for z in fam_h):
+                    continue
+            for y in rng:
+                if (x | y) in fam_h:
+                    yield vs, (x, y)
+
+
+def _sa(w, at, mem, items, rng, full):
+    for g, u, vs in items:
+        target = at[u]
+        for x in mem[g]:
+            if x not in target:
+                yield vs, (x,)
+
+
+def _tg(w, at, mem, items, rng, full):
+    for g, vs in items:
+        for x in mem[g]:
+            if not (x >> w) & 1:
+                yield vs, (x,)
+
+
+def _rmg(w, at, mem, items, rng, full):
+    for g, _, vs in items:
+        fam = at[g]
+        for x in mem[g]:
+            for y in rng:
+                if (x | y) not in fam:
+                    yield vs, (x, y)
+
+
+def _di(w, at, mem, items, rng, full):
+    for a, _, vs in items:
+        fam = at[a]
+        for x in mem[a]:
+            if (full ^ x) in fam:
+                yield vs, (x,)
+
+
+def _constant(pattern: Formula):
+    """The violation test of ``[X]c`` or ``~[X]c`` with ``c`` true or false."""
+    negated = isinstance(pattern, Not)
+    top = isinstance((pattern.body if negated else pattern).body, Top)
+
+    def test(w, at, mem, items, rng, full):
+        c = full if top else 0
+        for x, vs in items:
+            if (c in at[x]) == negated:
+                yield vs, ()
+    return test
+
+
+_VIOLATIONS = {
+    "B1": _aggregation, "CG": _aggregation, "B2": _b2, "B3": _b3, "B4": _b4,
+    "SA": _sa, "TG": _tg, "RMG": _rmg, "DI": _di,
+    **{k: _constant(_PATTERNS[k]) for k in ("PG", "NEC", "CONEC", "P", "COP")},
+}
 
 
 def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
                          rng: Sequence[int], full_range: bool
                          ) -> CounterExample | None:
     n = len(m.worlds)
-    full = (1 << n) - 1
-    label = [w.label for w in m.worlds]
-
-    def ws(bits: int) -> WorldSet:
-        return WorldSet(bits, n)
-
-    k = s.kind
-    p = len(pool)
-    tab = [group_families(m, g) for g in pool]
-    shape = _SHAPES.get(k)
-    if shape is not None:
-        inst = getattr(_plan_for(tuple(g.members for g in pool)), shape)
-        tab += [group_families(m, u) for u in inst.extras]
-        items = inst.items
-
-    if k in ("B1", "CG"):
-        for w in range(n):
-            at = [f[w] for f in tab]
-            mem = [_mem(f, rng, full_range) for f in at[:p]]
-            for g, h, u in items:
-                target = at[u]
-                for x in mem[g]:
-                    for y in mem[h]:
-                        if (x & y) not in target:
-                            return CounterExample(
-                                label[w], (("G", pool[g]), ("H", pool[h])),
-                                (("phi", ws(x)), ("psi", ws(y))))
-        return None
-
-    if k == "B2":
-        for w in range(n):
-            at = [f[w] for f in tab]
-            for g, h, u in items:
-                if full in at[u] and full not in at[g]:
-                    return CounterExample(label[w],
-                                          (("G", pool[g]), ("H", pool[h])))
-        return None
-
-    if k == "B3":
-        for w in range(n):
-            at = [f[w] for f in tab]
-            mem = [_mem(f, rng, full_range) for f in at[:p]]
-            for g, h, j, u, v in items:
-                in_m, in_l = at[u], at[v]
-                for x in mem[g]:
-                    if x in in_l and x not in in_m:
-                        return CounterExample(
-                            label[w],
-                            (("G", pool[g]), ("H", pool[h]), ("J", pool[j])),
-                            (("phi", ws(x)),))
-        return None
-
-    if k == "B4":
-        for w in range(n):
-            at = [f[w] for f in tab]
-            mem = [_mem(f, rng, full_range) for f in at[:p]]
-            for g, h, u in items:
-                target, fam_h = at[u], at[h]
-                for x in mem[g]:
-                    if x in target:
-                        continue
-                    if full_range:
-                        # any superset of x in N_H gives a violating psi
-                        if not any(z & x == x for z in fam_h):
-                            continue
-                    for y in rng:
-                        if (x | y) in fam_h:
-                            return CounterExample(
-                                label[w], (("G", pool[g]), ("H", pool[h])),
-                                (("phi", ws(x)), ("psi", ws(y))))
-        return None
-
-    if k == "SA":
-        for w in range(n):
-            at = [f[w] for f in tab]
-            mem = [_mem(f, rng, full_range) for f in at[:p]]
-            for g, h, u in items:
-                target = at[u]
-                for x in mem[g]:
-                    if x not in target:
-                        return CounterExample(
-                            label[w], (("G", pool[g]), ("H", pool[h])),
-                            (("phi", ws(x)),))
-        return None
-
-    if k == "TG":
-        for w in range(n):
-            for g, f in enumerate(tab):
-                for x in _mem(f[w], rng, full_range):
-                    if not (x >> w) & 1:
-                        return CounterExample(
-                            label[w], (("G", pool[g]),), (("phi", ws(x)),))
-        return None
-
-    if k == "PG":
-        for w in range(n):
-            for g, f in enumerate(tab):
-                if 0 in f[w]:
-                    return CounterExample(label[w], (("G", pool[g]),))
-        return None
-
-    if k == "RMG":
-        for w in range(n):
-            for g, f in enumerate(tab):
-                members = f[w]
-                for x in _mem(members, rng, full_range):
-                    for y in rng:
-                        if (x | y) not in members:
-                            return CounterExample(
-                                label[w], (("G", pool[g]),),
-                                (("phi", ws(x)), ("psi", ws(y))))
-        return None
-
-    # Agent-indexed schemas quantify over nothing but the world.
-    single = Group.of(s.agent)
-    sfam = group_families(m, single)
-    if k == "NEC":
-        for w in range(n):
-            if full not in sfam[w]:
-                return CounterExample(label[w], agent=s.agent)
-        return None
-    if k == "CONEC":
-        for w in range(n):
-            if full in sfam[w]:
-                return CounterExample(label[w], agent=s.agent)
-        return None
-    if k == "P":
-        for w in range(n):
-            if 0 in sfam[w]:
-                return CounterExample(label[w], agent=s.agent)
-        return None
-    if k == "COP":
-        for w in range(n):
-            if 0 not in sfam[w]:
-                return CounterExample(label[w], agent=s.agent)
-        return None
-    if k == "DI":
-        for w in range(n):
-            for x in _mem(sfam[w], rng, full_range):
-                if (full ^ x) in sfam[w]:
-                    return CounterExample(label[w], sets=(("phi", ws(x)),),
-                                          agent=s.agent)
-        return None
-
-    raise AssertionError(k)
+    extras, items, guards = _instances(s.kind, tuple(g.members for g in pool),
+                                       s.agent)
+    tab = [group_families(m, g) for g in pool + extras]
+    members = sorted if full_range else (
+        lambda fam: [x for x in rng if x in fam])
+    test, full = _VIOLATIONS[s.kind], (1 << n) - 1
+    for w in range(n):
+        at = [f[w] for f in tab]
+        mem = {k: members(at[k]) for k in guards}
+        hit = next(test(w, at, mem, items, rng, full), None)
+        if hit is not None:
+            vs, sets = hit
+            return CounterExample(
+                m.worlds[w].label,
+                tuple(zip(_GROUP_VARS[s.kind], (pool[i] for i in vs))),
+                tuple(zip(_SET_VARS[s.kind], (WorldSet(x, n) for x in sets))),
+                s.agent)
+    return None
 
 
 def _set_range(m: Model, mode: str, pool: tuple[Group, ...]

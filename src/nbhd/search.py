@@ -24,21 +24,22 @@ from .formula import Formula, Group, render
 from .frames import (
     BinaryConsistent, Conec, Cop, FrameCondition, IntersectionClosed,
     Monotone, Nec, P, PGroup, Reflexive, check_condition, format_condition,
+    _AGENT_CONDITIONS, _SIMPLE_CONDITIONS,
     _close_family_intersections, _close_family_supersets,
 )
 from .logics import (
     CounterExample, LogicDescriptor, SchemaId, check_schema_semantically,
-    format_schema,
+    counterexample_to_dict, format_schema,
 )
 from .model import (
-    AgentModel, Model, NeighbourhoodMap, World, WorldSet, _state_cap,
+    AgentModel, NeighbourhoodMap, World, WorldSet, _state_cap,
     model_to_dict, truth_set, unions_up_to,
 )
 
 __all__ = [
     "Stream", "SearchBounds", "SchemaTarget", "SearchResult", "Violation",
     "FuzzReport", "random_model", "exhaustive_models", "find_countermodel",
-    "soundness_fuzz", "required_constraints", "counterexample_to_dict",
+    "soundness_fuzz", "required_constraints",
 ]
 
 
@@ -392,9 +393,11 @@ def find_countermodel(target: "Formula | SchemaTarget",
 # ---------------------------------------------------------------------------
 # Soundness fuzzing
 
+# The frame condition each extension needs, by its name in frames.
 _SCHEMA_CONSTRAINT = {
-    "TG": Reflexive(), "PG": Reflexive(), "RMG": Monotone(),
-    "CG": IntersectionClosed(),
+    "TG": "reflexive", "PG": "reflexive", "RMG": "monotone",
+    "CG": "intclosed", "DI": "bincons",
+    "NEC": "nec", "CONEC": "conec", "P": "p", "COP": "cop",
 }
 
 
@@ -409,25 +412,14 @@ def required_constraints(l: LogicDescriptor,
     """
     out: list[FrameCondition] = []
     for s in sorted(l.extensions, key=format_schema):
-        if s.kind in _SCHEMA_CONSTRAINT:
-            out.append(_SCHEMA_CONSTRAINT[s.kind])
-        elif s.kind == "DI":
-            out.append(BinaryConsistent())
-        elif s.kind == "NEC":
-            out.append(Nec(s.agent))
-        elif s.kind == "CONEC":
-            out.append(Conec(s.agent))
-        elif s.kind == "P":
-            out.append(P(s.agent))
-        elif s.kind == "COP":
-            out.append(Cop(s.agent))
-        elif s.kind == "SA":
+        name = _SCHEMA_CONSTRAINT.get(s.kind)
+        if s.kind == "SA":
             out.extend(Nec(a) for a in agents)
-    seen: list[FrameCondition] = []
-    for c in out:
-        if c not in seen:
-            seen.append(c)
-    return tuple(seen)
+        elif name in _AGENT_CONDITIONS:
+            out.append(_AGENT_CONDITIONS[name](s.agent))
+        elif name is not None:
+            out.append(_SIMPLE_CONDITIONS[name]())
+    return tuple(dict.fromkeys(out))
 
 
 @dataclass(frozen=True)
@@ -467,19 +459,6 @@ class FuzzReport:
                  "witness": counterexample_to_dict(v.witness, v.model)}
                 for v in self.violations],
         }
-
-
-def counterexample_to_dict(cx: CounterExample, m: Model) -> dict:
-    labels = [w.label for w in m.worlds]
-    out: dict = {"world": cx.world}
-    if cx.agent is not None:
-        out["agent"] = cx.agent
-    if cx.groups:
-        out["groups"] = {name: list(g.members) for name, g in cx.groups}
-    if cx.sets:
-        out["sets"] = {name: [labels[i] for i in ws.indices()]
-                       for name, ws in cx.sets}
-    return out
 
 
 def soundness_fuzz(l: LogicDescriptor, bounds: SearchBounds) -> FuzzReport:

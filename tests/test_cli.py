@@ -213,6 +213,13 @@ def test_frame_unknown_condition(capsys, nr):
     assert code == 2 and "unknown frame condition" in err
 
 
+def test_frame_negative_agent(capsys, m1):
+    code, _, err = run(capsys, "frame", "--model", m1,
+                       "--condition", "nec:-1")
+    assert code == 2
+    assert "condition 'nec' needs an agent id, got '-1'" in err
+
+
 # ---------------------------------------------------------------------------
 # close
 

@@ -551,6 +551,46 @@ def test_three_way_union_over_the_guard():
         check_schema_semantically(m, B3, group_pool=pool)
 
 
+# Seven worlds are over the all-subsets guard (2**7 > 64 states), so only
+# definable-only checks run, and without the all-subsets comparison.
+# Every family holds two subsets of the seven worlds, drawn once.  On the
+# AgentModel every subset is definable; on the GeneralModel only a few.
+_AGENT_SEVEN = (7, False, {
+    0: [{98, 107}, {10, 66}, {103, 124}, {77, 122}, {55, 91}, {35, 72},
+        {24, 35}],
+    1: [{37, 64}, {25, 79}, {18, 84}, {25, 120}, {90, 111}, {52, 80},
+        {113, 122}],
+    2: [{15, 66}, {3, 23}, {0, 102}, {85, 126}, {62, 83}, {16, 48},
+        {56, 61}],
+}, {"p": 0b0011010})
+_GENERAL_SEVEN = (7, True, {
+    Group.of(0): [{36, 114}, {20, 23}, {81, 125}, {27, 77}, {31, 74},
+                  {52, 85}, {73, 113}],
+    Group.of(1): [{23, 98}, {61, 81}, {47, 74}, {47, 48}, {8, 66},
+                  {17, 121}, {22, 33}],
+    Group.of(0, 1): [{9, 38}, {20, 100}, {60, 70}, {55, 107}, {70, 115},
+                     {91, 126}, {21, 83}],
+    Group.of(2): [{29, 124}, {48, 85}, {4, 62}, {29, 69}, {56, 95},
+                  {43, 85}, {15, 109}],
+}, {"p": 0b1010011})
+_GENERAL_POOL = (Group.of(0), Group.of(1), Group.of(0, 1), Group.of(1, 2))
+
+
+@pytest.mark.parametrize("case,pool,every_subset", [
+    (_AGENT_SEVEN, None, True),
+    (_GENERAL_SEVEN, _GENERAL_POOL, False),
+])
+def test_definable_only_past_the_guard(case, pool, every_subset):
+    m = _build(*case)
+    _, full_range = _set_range(m, "definable-only",
+                               pool or default_group_pool(m))
+    assert full_range == every_subset
+    for kind in _KINDS:
+        s = SchemaId(kind, 1 if kind in _AGENT_KINDS else None)
+        for mode in _MODES:
+            _assert_same(case, s, mode, pool)
+
+
 # ---------------------------------------------------------------------------
 # Pattern oracle: instantiate_schema and match_schema against the reference
 

@@ -228,6 +228,10 @@ def test_parse_condition_flexible_spelling():
     ("reflexive:1", "takes no argument"),
     ("nec:", "needs an agent id"),
     ("nec:x", "needs an agent id"),
+    ("nec:-1", "condition 'nec' needs an agent id, got '-1'"),
+    ("conec:-2", "condition 'conec' needs an agent id, got '-2'"),
+    ("p:-1", "condition 'p' needs an agent id, got '-1'"),
+    ("cop:-3", "condition 'cop' needs an agent id, got '-3'"),
     ("pg:", "bad group"),
     ("pg:1,,2", "bad group"),
     ("frobnicate", "unknown frame condition"),

@@ -6,11 +6,11 @@ import json
 import pytest
 
 from nbhd import (
-    AgentModel, B1, B2, B3, B4, BASE_LOGIC, BinaryConsistent, CG, CONEC,
+    AgentModel, B1, B2, B3, B4, BASE_LOGIC, BinaryConsistent, CG, CONEC, COP,
     Conec, ConstraintError, Cop, CounterExample, DI, FuzzReport, Group,
     IntersectionClosed, LogicDescriptor, Monotone, NEC, Nec,
-    NeighbourhoodMap, PG, PGroup, Reflexive, ResourceLimitError, SA,
-    SchemaTarget, SearchBounds, Stream, TG, Violation, World, WorldSet,
+    NeighbourhoodMap, PG, PGroup, PSchema, RMG, Reflexive, ResourceLimitError,
+    SA, SchemaTarget, SearchBounds, Stream, TG, Violation, World, WorldSet,
     check_condition, check_schema_semantically, close_under_intersections,
     counterexample_to_dict, exhaustive_models, find_countermodel, fixture,
     model_from_dict, model_to_dict, parse, random_model, required_constraints,
@@ -304,6 +304,11 @@ def test_required_constraints():
     assert required_constraints(
         LogicDescriptor(frozenset({DI(1), CONEC(2)})), (1, 2)) \
         == (Conec(2), BinaryConsistent())
+    every = frozenset({CONEC(3), COP(2), DI(2), NEC(1), PSchema(1), PG, RMG,
+                       SA, TG})
+    assert required_constraints(LogicDescriptor(every), (1, 2)) == (
+        Conec(3), Cop(2), BinaryConsistent(), Nec(1), P(1), Reflexive(),
+        Monotone(), Nec(2))
 
 
 def test_soundness_fuzz_requires_matching_constraints():
