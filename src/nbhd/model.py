@@ -17,6 +17,7 @@ witnesses come out deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -387,8 +388,17 @@ def mentioned_agents(m: Model) -> tuple[int, ...]:
 
 
 def unions_up_to(agents: Iterable[int], max_size: int = 3) -> tuple[Group, ...]:
-    """All groups over ``agents`` of size at most ``max_size``, sorted."""
-    agents = sorted(set(agents))
+    """All groups over ``agents`` of size at most ``max_size``, sorted.
+
+    Cached by the sorted, duplicate-free agent tuple.
+    """
+    return _unions(max_size, *sorted(set(agents)))
+
+
+# typed, so that an agent id equal to an int (True, 1.0) is no cache hit
+# for that int and still fails in Group
+@functools.lru_cache(maxsize=64, typed=True)
+def _unions(max_size: int, *agents: int) -> tuple[Group, ...]:
     out: list[Group] = []
 
     def grow(start: int, current: tuple[int, ...]) -> None:
@@ -404,10 +414,10 @@ def unions_up_to(agents: Iterable[int], max_size: int = 3) -> tuple[Group, ...]:
 
 def default_group_pool(m: Model) -> tuple[Group, ...]:
     """Groups mentioned by the model plus unions of its agents up to size 3."""
-    pool = set(unions_up_to(mentioned_agents(m)))
-    if isinstance(m, GeneralModel):
-        pool.update(m.groups)
-    return tuple(sorted(pool, key=Group.sort_key))
+    pool = unions_up_to(mentioned_agents(m))
+    if isinstance(m, AgentModel):
+        return pool  # already sorted and duplicate-free
+    return tuple(sorted(set(pool).union(m.groups), key=Group.sort_key))
 
 
 def definable_sets(m: Model, group_pool: Iterable[Group]) -> dict[WorldSet, Formula]:

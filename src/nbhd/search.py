@@ -297,9 +297,11 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
 
     Order: domain size ascending; then valuation codes (per atom, last
     atom fastest); then family codes per (agent, world) slot, agents in
-    bounds order, worlds ascending, last slot fastest.  At most
-    1 048 640 models are visited, the size of the largest space the
-    bounds admit; NBHD_MAX_STATES may lower that cap.
+    bounds order, worlds ascending, last slot fastest.  Every candidate
+    counts toward a visit cap of 1 048 640 models, the size of the
+    largest space the bounds admit, whether or not a constraint filters
+    it out; NBHD_MAX_STATES may lower that cap.  Yielded models may
+    share their per-agent NeighbourhoodMap objects.
     """
     if bounds.mode != "exhaustive":
         raise ValueError("exhaustive_models needs bounds in exhaustive mode")
@@ -308,26 +310,23 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(World(i, f"w{i}") for i in range(n))
         n_sets = 1 << n
-        n_fams = 1 << n_sets
-        slots = len(bounds.agents) * n
+        # one map per tuple of per-world family codes, first world slowest
+        fams = [frozenset(s for s in range(n_sets) if (code >> s) & 1)
+                for code in range(1 << n_sets)]
+        maps = [NeighbourhoodMap(n, per_world)
+                for per_world in itertools.product(fams, repeat=n)]
         for vcodes in itertools.product(range(n_sets),
                                         repeat=len(bounds.atoms)):
             valuation = {atom: WorldSet(bits, n)
                          for atom, bits in zip(bounds.atoms, vcodes)}
-            for fcodes in itertools.product(range(n_fams), repeat=slots):
+            for chosen in itertools.product(maps, repeat=len(bounds.agents)):
                 visited += 1
                 if visited > cap:
                     raise ResourceLimitError(
                         f"exhaustive search visited more than {cap} models "
                         "(NBHD_MAX_STATES)")
-                agents = {}
-                for ai, agent in enumerate(bounds.agents):
-                    fams = tuple(
-                        frozenset(s for s in range(n_sets)
-                                  if (fcodes[ai * n + w] >> s) & 1)
-                        for w in range(n))
-                    agents[agent] = NeighbourhoodMap(n, fams)
-                model = AgentModel(worlds, valuation, agents)
+                model = AgentModel(worlds, valuation,
+                                   dict(zip(bounds.agents, chosen)))
                 if all(check_condition(model, c).holds
                        for c in bounds.frame_constraints):
                     yield model

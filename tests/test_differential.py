@@ -1,5 +1,5 @@
-"""Differential oracles for the semantic schema checker and the schema
-patterns.
+"""Differential oracles for the semantic schema checker, the schema
+patterns and exhaustive enumeration.
 
 ``_Plan``, ``_plan_for``, ``_mem`` and ``_find_counterexample`` below are
 verbatim copies of the loop-over-every-instance checker that the
@@ -16,25 +16,35 @@ reference raises, and the same groups derived in the same order.
 same ``ValueError`` message, and the same binding or ``None`` from every
 schema, on random bindings with mutated instances and on every line of
 the shipped certificates and of the criterion-08 mutations.
+
+``exhaustive_reference`` is a verbatim copy of the ``exhaustive_models``
+that expanded every (agent, world) slot of every candidate into a new
+family.  The test requires the same models in the same order, and the
+same visit-cap error, for every space of 1-2 worlds, 1-2 agents and 0-1
+atoms, with no constraint and with each supported one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import itertools
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbhd import (
-    AgentModel, And, Atom, AxiomRef, B2, B3, Bottom, Box, CERTIFICATE_NAMES,
-    CounterExample, Formula, GeneralModel, Group, Iff, Implies,
-    NeighbourhoodMap, Not, Or, ResourceLimitError, SchemaId, SchemaVerdict,
-    Top, World, WorldSet, builtin_certificate, check_schema_semantically,
-    default_group_pool, format_schema, group_families, instantiate_schema,
+    AgentModel, And, Atom, AxiomRef, B2, B3, BinaryConsistent, Bottom, Box,
+    CERTIFICATE_NAMES, Conec, Cop, CounterExample, Formula, GeneralModel,
+    Group, Iff, Implies, IntersectionClosed, Monotone, Nec, NeighbourhoodMap,
+    Not, Or, PCondition, PGroup, Reflexive, ResourceLimitError, SchemaId,
+    SchemaVerdict, SearchBounds, Top, World, WorldSet, builtin_certificate,
+    check_condition, check_schema_semantically, default_group_pool,
+    exhaustive_models, format_schema, group_families, instantiate_schema,
     match_schema, proof_from_dict,
 )
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
 from nbhd.model import Model, _state_cap
+from nbhd.search import _EXHAUSTIVE_LIMIT
 from test_acceptance import _MUTATIONS
 
 
@@ -711,3 +721,91 @@ def test_patterns_match_reference_on_certificates():
                 assert (_instantiated(instantiate_schema, j.schema, binding)
                         == _instantiated(instantiate_reference, j.schema,
                                          binding))
+
+
+# ---------------------------------------------------------------------------
+# Enumeration oracle: exhaustive_models against the reference (copied
+# verbatim, renamed)
+
+
+def exhaustive_reference(bounds: SearchBounds) -> Iterator[AgentModel]:
+    """Every model within the bounds, frame constraints as filters.
+
+    Order: domain size ascending; then valuation codes (per atom, last
+    atom fastest); then family codes per (agent, world) slot, agents in
+    bounds order, worlds ascending, last slot fastest.  At most
+    1 048 640 models are visited, the size of the largest space the
+    bounds admit; NBHD_MAX_STATES may lower that cap.
+    """
+    if bounds.mode != "exhaustive":
+        raise ValueError("exhaustive_models needs bounds in exhaustive mode")
+    cap = _state_cap(_EXHAUSTIVE_LIMIT)
+    visited = 0
+    for n in range(1, bounds.max_worlds + 1):
+        worlds = tuple(World(i, f"w{i}") for i in range(n))
+        n_sets = 1 << n
+        n_fams = 1 << n_sets
+        slots = len(bounds.agents) * n
+        for vcodes in itertools.product(range(n_sets),
+                                        repeat=len(bounds.atoms)):
+            valuation = {atom: WorldSet(bits, n)
+                         for atom, bits in zip(bounds.atoms, vcodes)}
+            for fcodes in itertools.product(range(n_fams), repeat=slots):
+                visited += 1
+                if visited > cap:
+                    raise ResourceLimitError(
+                        f"exhaustive search visited more than {cap} models "
+                        "(NBHD_MAX_STATES)")
+                agents = {}
+                for ai, agent in enumerate(bounds.agents):
+                    fams = tuple(
+                        frozenset(s for s in range(n_sets)
+                                  if (fcodes[ai * n + w] >> s) & 1)
+                        for w in range(n))
+                    agents[agent] = NeighbourhoodMap(n, fams)
+                model = AgentModel(worlds, valuation, agents)
+                if all(check_condition(model, c).holds
+                       for c in bounds.frame_constraints):
+                    yield model
+
+
+def _until_cap(enumerate_models, bounds):
+    """The models yielded before the visit cap fires, or all of them."""
+    out = []
+    try:
+        for m in enumerate_models(bounds):
+            out.append(m)
+    except ResourceLimitError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+# Agent 1's world-1 slot is the second slowest in the 2-agent, 2-world
+# space and changes every 256 candidates, so a prefix of 800 candidates
+# (16 or 32 of them over one world) sees it take three values or more.
+_PREFIX = 800
+_SPACES = [(n, agents, atoms) for n in (1, 2) for agents in ((1,), (1, 2))
+           for atoms in ((), ("p",))]
+
+
+def _filters(agents):
+    """No constraint, each supported one over ``agents``, and a pair."""
+    return [(), (Nec(1),), (Conec(1),), (PCondition(1),), (Cop(1),),
+            (Reflexive(),), (BinaryConsistent(),), (Monotone(),),
+            (IntersectionClosed(),), (PGroup(Group.of(1)),),
+            (PGroup(Group(agents)),), (Nec(agents[-1]), Monotone())]
+
+
+@pytest.mark.parametrize("n,agents,atoms", _SPACES)
+def test_enumeration_matches_reference(monkeypatch, n, agents, atoms):
+    prefix = n == 2 and len(agents) == 2
+    if prefix:
+        monkeypatch.setenv("NBHD_MAX_STATES", str(_PREFIX))
+    for constraints in _filters(agents):
+        bounds = SearchBounds(max_worlds=n, agents=agents, atoms=atoms,
+                              mode="exhaustive",
+                              frame_constraints=constraints)
+        got = _until_cap(exhaustive_models, bounds)
+        assert got == _until_cap(exhaustive_reference, bounds), constraints
+        if prefix and not constraints:
+            assert len(got) == _PREFIX + 1  # the models, then the error

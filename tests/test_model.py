@@ -226,6 +226,20 @@ def test_mentioned_agents_and_pools():
     assert unions_up_to((1, 2, 3), max_size=2) == (
         G1, G2, Group.of(3), G12, Group.of(1, 3), Group.of(2, 3))
     assert default_group_pool(fixture("M3")) == unions_up_to((1, 2, 3))
+    # any iterable, duplicates dropped; one cached tuple per agent set
+    assert unions_up_to([2, 1]) == (G1, G2, G12)
+    assert unions_up_to(a for a in (2, 1, 2)) == (G1, G2, G12)
+    assert unions_up_to((1, 2, 1, 1)) is unions_up_to((1, 2))
+    assert unions_up_to([3, 1, 2, 3]) == unions_up_to((1, 2, 3))
+    # a GeneralModel adds its own groups, here one of size four
+    nm = NeighbourhoodMap(1, [{0}])
+    g1234 = Group.of(1, 2, 3, 4)
+    m = GeneralModel((World(0, "w0"),), {}, {g1234: nm, G2: nm})
+    assert default_group_pool(m) == unions_up_to((1, 2, 3, 4)) + (g1234,)
+    # an agent id equal to a cached int is still no agent id
+    assert unions_up_to((1,)) == (G1,)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        unions_up_to((True,))
 
 
 # ---------------------------------------------------------------------------

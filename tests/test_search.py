@@ -237,11 +237,28 @@ def test_exhaustive_constraints_filter():
     assert all(0 not in m.agents[1].families[0] for m in exhaustive_models(b))
 
 
+def _until_cap(bounds):
+    out = []
+    with pytest.raises(ResourceLimitError,
+                       match=r"more than 100 models \(NBHD_MAX_STATES\)"):
+        for m in exhaustive_models(bounds):
+            out.append(m)
+    return out
+
+
 def test_exhaustive_visit_cap(monkeypatch):
     b = SearchBounds(max_worlds=2, agents=(1,), mode="exhaustive")
     monkeypatch.setenv("NBHD_MAX_STATES", "100")
-    with pytest.raises(ResourceLimitError, match="NBHD_MAX_STATES"):
-        list(exhaustive_models(b))
+    got = _until_cap(b)
+    assert [len(m.worlds) for m in got] == [1] * 4 + [2] * 96
+    assert got == _hand_enumerate(2, (1,), ())[:100]
+    # filtered-out candidates count too: the survivors among the first 100
+    got = _until_cap(SearchBounds(max_worlds=2, agents=(1,),
+                                  mode="exhaustive",
+                                  frame_constraints=(Nec(1),)))
+    want = [m for m in _hand_enumerate(2, (1,), ())[:100]
+            if check_condition(m, Nec(1)).holds]
+    assert got == want and 0 < len(want) < 100
     with pytest.raises(ValueError, match="exhaustive mode"):
         list(exhaustive_models(_bounds()))
     monkeypatch.setenv("NBHD_MAX_STATES", "lots")
