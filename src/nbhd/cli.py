@@ -20,6 +20,7 @@ the same witnesses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -339,6 +340,7 @@ def _reproduce_group_factivity():
 # Parser
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbhd",

@@ -19,6 +19,7 @@ into that basis.  Parsing and printing are mutually inverse:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -147,55 +148,42 @@ class Box(Formula):
 # Tokenizer / parser
 
 
-_SYMBOLS = (
-    ("<->", "iff"),
-    ("->", "imp"),
-    ("~", "not"),
-    ("&", "and"),
-    ("|", "or"),
-    ("(", "lparen"),
-    (")", "rparen"),
-    ("[", "lbrack"),
-    ("]", "rbrack"),
-    (",", "comma"),
-)
+# One match per token after optional whitespace.  \s is exactly
+# str.isspace() and \w exactly str.isalnum() or "_", so a word is a
+# maximal run that may continue an agent id or an atom name; _tokenize
+# splits it with str.isdigit(), which unlike \d also takes "²" and "①".
+_TOKEN = re.compile(r"\s*(?:(<->|->|[~&|()\[\],])|(\w+)|(\S))")
+_SYMBOLS = {"<->": "iff", "->": "imp", "~": "not", "&": "and", "|": "or",
+            "(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
+            ",": "comma"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    # Ending the scan at the trailing whitespace keeps \s* from retrying it.
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        sym, word, other = m.groups()
+        i = m.start(m.lastindex)
+        if sym:
+            tokens.append((_SYMBOLS[sym], sym, i))
             continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((kind, sym, i))
-                i += len(sym)
-                break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(("nat", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word == "true":
-                    tokens.append(("true", word, i))
-                elif word == "false":
-                    tokens.append(("false", word, i))
-                else:
-                    tokens.append(("ident", word, i))
-                i = j
-            else:
-                raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+        if other:
+            raise FormulaSyntaxError(f"unexpected character {other!r}", i)
+        # A word is an agent id, then an atom name or keyword starting
+        # with a letter or "_"; either part may be missing.
+        j = 0
+        while j < len(word) and word[j].isdigit():
+            j += 1
+        if j:
+            tokens.append(("nat", word[:j], i))
+        rest = word[j:]
+        if rest:
+            if not (rest[0].isalpha() or rest[0] == "_"):
+                raise FormulaSyntaxError(
+                    f"unexpected character {rest[0]!r}", i + j)
+            kind = rest if rest in ("true", "false") else "ident"
+            tokens.append((kind, rest, i + j))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -280,12 +268,19 @@ class _Parser:
         raise FormulaSyntaxError("expected a formula", pos)
 
     def group(self) -> Group:
-        agents = [int(self.expect("nat", "an agent id")[1])]
+        agents = [self.agent()]
         while self.peek()[0] == "comma":
             self.take()
-            agents.append(int(self.expect("nat", "an agent id")[1]))
+            agents.append(self.agent())
         self.expect("rbrack", "']'")
         return Group(tuple(agents))
+
+    def agent(self) -> int:
+        _, value, pos = self.expect("nat", "an agent id")
+        try:  # "²" is a digit but no decimal; int() also caps the length
+            return int(value)
+        except ValueError:
+            raise FormulaSyntaxError("expected an agent id", pos) from None
 
 
 def parse(text: str) -> Formula:

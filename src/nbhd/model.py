@@ -200,7 +200,7 @@ class AgentModel:
         n = len(self.worlds)
         _check_valuation(self.valuation, n)
         for agent, nm in self.agents.items():
-            if not isinstance(agent, int) or agent < 0:
+            if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
                 raise ModelFormatError(f"agent ids are non-negative ints, got {agent!r}")
             if nm.size != n or len(nm.families) != n:
                 raise ModelFormatError(f"neighbourhood map of agent {agent} has wrong size")

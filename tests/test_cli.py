@@ -1,6 +1,9 @@
 """End-to-end command-line tests: exit codes and printed reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,8 @@ from nbhd import (
     Monotone, builtin_certificate, check_condition, fixture, load_model,
     model_to_dict, save_model,
 )
-from nbhd.cli import main
+import nbhd
+from nbhd.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -71,6 +75,9 @@ def test_check_unknown_world(capsys, m1):
 def test_check_bad_formula(capsys, m1):
     code, _, err = run(capsys, "check", "--model", m1, "--formula", "p &")
     assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "check", "--model", m1, "--formula", "[²]p")
+    assert (code, out) == (2, [])
+    assert err == "error: expected an agent id (at position 1)\n"
 
 
 def test_check_missing_model_file(capsys, tmp_path):
@@ -349,3 +356,37 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_main_reuses_its_parser(capsys, m1, tmp_path):
+    proof = _write_cert(tmp_path, "sa_from_nec")
+    requests = [
+        [],
+        ["--help"],
+        ["frobnicate"],
+        ["valid", "--formula", "p", "--schema", "b1"],
+        ["check", "--model", m1, "--formula", "p | q | r", "--world", "wp"],
+        ["schema", "--model", m1, "--schema", "b1", "--json"],
+        ["proof", "--file", proof],
+        ["check", "--model", m1, "--formula", "[²]p"],
+        ["valid", "--formula", "[1]p -> p"],
+        ["check", "--model", m1, "--formula", "p", "--json"],
+    ]
+    fresh = []
+    for argv in requests:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in requests + requests]
+    assert reused == fresh + fresh
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 2, 0, 1, 0, 2, 1, 1]
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(nbhd.__file__))
+    probe = ("import nbhd.cli; "
+             "print(nbhd.cli._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "0\n"

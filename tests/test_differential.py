@@ -22,26 +22,39 @@ that expanded every (agent, world) slot of every candidate into a new
 family.  The test requires the same models in the same order, and the
 same visit-cap error, for every space of 1-2 worlds, 1-2 agents and 0-1
 atoms, with no constraint and with each supported one.
+
+``tokenize_reference`` and ``group_reference`` are verbatim copies of
+the character-by-character ``_tokenize`` that the one-regex scan in
+``nbhd.formula`` replaced and of the ``_Parser.group`` that read agent
+ids with a bare ``int()``.  The test requires the same token list or the
+same ``FormulaSyntaxError``, and ``parse`` on top of either to give the
+same formula or the same error, on text over the language's characters,
+Unicode whitespace, letters and digits.  The one change allowed: where
+the reference raised a bare ``ValueError`` ("²" is ``str.isdigit()`` but
+no decimal digit), ``parse`` now raises ``FormulaSyntaxError``.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from typing import Iterable, Iterator, Mapping, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbhd import (
     AgentModel, And, Atom, AxiomRef, B2, B3, BinaryConsistent, Bottom, Box,
-    CERTIFICATE_NAMES, Conec, Cop, CounterExample, Formula, GeneralModel,
-    Group, Iff, Implies, IntersectionClosed, Monotone, Nec, NeighbourhoodMap,
-    Not, Or, PCondition, PGroup, Reflexive, ResourceLimitError, SchemaId,
-    SchemaVerdict, SearchBounds, Top, World, WorldSet, builtin_certificate,
-    check_condition, check_schema_semantically, default_group_pool,
-    exhaustive_models, format_schema, group_families, instantiate_schema,
-    match_schema, proof_from_dict,
+    CERTIFICATE_NAMES, Conec, Cop, CounterExample, Formula,
+    FormulaSyntaxError, GeneralModel, Group, Iff, Implies, IntersectionClosed,
+    Monotone, Nec, NeighbourhoodMap, Not, Or, PCondition, PGroup, Reflexive,
+    ResourceLimitError, SchemaId, SchemaVerdict, SearchBounds, Top, World,
+    WorldSet, builtin_certificate, check_condition, check_schema_semantically,
+    default_group_pool, exhaustive_models, format_schema, group_families,
+    instantiate_schema, match_schema, parse, proof_from_dict,
 )
+import nbhd.formula
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
 from nbhd.model import Model, _state_cap
 from nbhd.search import _EXHAUSTIVE_LIMIT
@@ -809,3 +822,136 @@ def test_enumeration_matches_reference(monkeypatch, n, agents, atoms):
         assert got == _until_cap(exhaustive_reference, bounds), constraints
         if prefix and not constraints:
             assert len(got) == _PREFIX + 1  # the models, then the error
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer and agent ids (copied verbatim)
+
+
+_SYMBOLS = (
+    ("<->", "iff"),
+    ("->", "imp"),
+    ("~", "not"),
+    ("&", "and"),
+    ("|", "or"),
+    ("(", "lparen"),
+    (")", "rparen"),
+    ("[", "lbrack"),
+    ("]", "rbrack"),
+    (",", "comma"),
+)
+
+
+def tokenize_reference(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        for sym, kind in _SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append((kind, sym, i))
+                i += len(sym)
+                break
+        else:
+            if ch.isdigit():
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(("nat", text[i:j], i))
+                i = j
+            elif ch.isalpha() or ch == "_":
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                if word == "true":
+                    tokens.append(("true", word, i))
+                elif word == "false":
+                    tokens.append(("false", word, i))
+                else:
+                    tokens.append(("ident", word, i))
+                i = j
+            else:
+                raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def group_reference(self) -> Group:
+    agents = [int(self.expect("nat", "an agent id")[1])]
+    while self.peek()[0] == "comma":
+        self.take()
+        agents.append(int(self.expect("nat", "an agent id")[1]))
+    self.expect("rbrack", "']'")
+    return Group(tuple(agents))
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer oracle
+
+
+def _parse_outcome(fn, text):
+    try:
+        return fn(text)
+    except FormulaSyntaxError as exc:
+        return (FormulaSyntaxError, str(exc), exc.position)
+    except ValueError as exc:
+        return (ValueError, str(exc))
+
+
+def parse_reference(text):
+    with mock.patch.object(nbhd.formula, "_tokenize", tokenize_reference), \
+            mock.patch.object(nbhd.formula._Parser, "group", group_reference):
+        return parse(text)
+
+
+_PIECES = (["<->", "->", "~", "&", "|", "(", ")", "[", "]", ",", "<", "-",
+            "_", "true", "false", " ", "\t", "\x1c", "\u2028",
+            "π", "é", "１", "१", "²", "①"]
+           + list(string.ascii_letters) + list(string.digits))
+_SOUP = st.lists(st.sampled_from(_PIECES), max_size=16).map("".join)
+_WS = st.sampled_from(["", "", " ", "\t", "\x1c", "\u2028"])
+_NAME = st.text(string.ascii_lowercase + "P_2πé²", min_size=1, max_size=3)
+_AGENT = st.text("0123１१²①", min_size=1, max_size=2)
+_AGENTS = st.lists(_AGENT, min_size=1, max_size=3).map(",".join)
+
+
+def _spaced(*parts):
+    return st.tuples(*(p if isinstance(p, st.SearchStrategy) else st.just(p)
+                       for p in parts)).map("".join)
+
+
+# Mostly well-formed text, with the odd name, agent id and space that the
+# character soup rarely puts together.
+_TEXT = st.recursive(
+    st.one_of(_NAME, st.sampled_from(["true", "false", "true_", "p1"])),
+    lambda sub: st.one_of(
+        _spaced("~", _WS, sub),
+        _spaced("[", _WS, _AGENTS, _WS, "]", sub),
+        _spaced("(", _WS, sub, _WS, ")"),
+        _spaced(sub, _WS, st.sampled_from(["<->", "->", "&", "|"]), _WS,
+                sub)),
+    max_leaves=6)
+
+
+@settings(max_examples=800, deadline=None)
+@given(text=st.one_of(_SOUP, _TEXT, _spaced(_WS, _TEXT, _WS)))
+def test_tokenizer_matches_reference(text):
+    expected = _parse_outcome(tokenize_reference, text)
+    assert _parse_outcome(nbhd.formula._tokenize, text) == expected
+    expected = _parse_outcome(parse_reference, text)
+    got = _parse_outcome(parse, text)
+    if isinstance(expected, tuple) and expected[0] is ValueError:
+        assert isinstance(got, tuple) and got[0] is FormulaSyntaxError
+    else:
+        assert got == expected
+
+
+def test_tokenizer_fixes_the_bare_value_error():
+    assert _parse_outcome(parse_reference, "[²]p") == (
+        ValueError, "invalid literal for int() with base 10: '²'")
+    assert _parse_outcome(parse, "[²]p") == (
+        FormulaSyntaxError, "expected an agent id (at position 1)", 1)

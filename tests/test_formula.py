@@ -1,6 +1,7 @@
 """Formula syntax: groups, parsing, rendering, normal form, tautologies."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +94,41 @@ def test_parse_error_positions():
         parse("p @ q")
     with pytest.raises(FormulaSyntaxError):
         parse("")
+
+
+@pytest.mark.parametrize("text,position", [
+    ("[²]p", 1),      # str.isdigit() but not a decimal digit
+    ("[1,①]p", 3),
+    ("[1²]p", 1),
+])
+def test_parse_rejects_non_decimal_agent_ids(text, position):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert exc.value.position == position
+    assert str(exc.value).startswith("expected an agent id")
+
+
+def test_lexical_rules():
+    # Atom names start with a letter or "_" and go on with letters,
+    # digits and "_", in the sense of str.isalpha() and str.isalnum();
+    # agent ids are decimal digits, in any script.
+    assert parse("P") == Atom("P")
+    assert parse("_x") == Atom("_x")
+    assert parse("πq") == Atom("πq")
+    assert parse("p²") == Atom("p²")
+    assert parse("[１,१]p") == Box(Group.of(1), P)
+    assert parse("true_") == Atom("true_")
+    assert parse("p\t&\u2028q\x1c") == And(P, Q)
+    for text, position in (("1p", 0), ("½", 0), ("p <- q", 2), ("p - q", 2)):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert exc.value.position == position
+
+
+def test_trailing_whitespace_is_scanned_once():
+    start = time.perf_counter()
+    assert parse("p" + " " * 50_000) == P
+    assert time.perf_counter() - start < 1.0  # linear: about a millisecond
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,13 @@ def test_pointwise_intersection_hand_example():
                                                  WorldSet(0b100, 3))
 
 
+@pytest.mark.parametrize("agent", [-1, True, False, "1", 1.0])
+def test_agent_model_rejects_bad_agent_ids(agent):
+    nm = NeighbourhoodMap(1, [set()])
+    with pytest.raises(ModelFormatError, match="non-negative ints"):
+        AgentModel((World(0, "w"),), {}, {agent: nm})
+
+
 def test_absent_agent_has_empty_family():
     m = fixture("NONREFLEXIVE")
     assert group_neighbourhood(m, Group.of(9), "w") == ()
