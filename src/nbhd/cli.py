@@ -47,21 +47,31 @@ from .search import (
 __all__ = ["main"]
 
 
+def _agent_ids(parts: Sequence[str], option: str) -> tuple[int, ...]:
+    ids = []
+    for part in parts:
+        try:
+            ids.append(int(part))
+        except ValueError:
+            raise ValueError(f"{option} needs comma-separated agent ids, "
+                             f"got {part.strip()!r}") from None
+    return tuple(ids)
+
+
 def _parse_agents(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    return _agent_ids([p for p in text.split(",") if p.strip()], "--agents")
+
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_pool(text: str) -> tuple[Group, ...]:
-    groups = []
-    for part in text.split(";"):
-        if part.strip():
-            groups.append(Group(tuple(int(a) for a in part.split(","))))
+    groups = tuple(Group(_agent_ids(part.split(","), "--pool"))
+                   for part in text.split(";") if part.strip())
     if not groups:
         raise ValueError(f"empty group pool {text!r}")
-    return tuple(groups)
+    return groups
 
 
 def _parse_constraints(text: str):

@@ -187,10 +187,36 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# How many connectives, boxes and pairs of parentheses may enclose an
+# atom.  Printing and evaluation recurse once per level and the parser at
+# most twice, so this keeps all of them far below Python's recursion
+# limit.
+_MAX_DEPTH = 100
+
+# Precedence levels: higher binds tighter.
+_IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
+# Binary connectives by token: their level and their node.
+_BINARY = {"iff": (_IFF, Iff), "imp": (_IMP, Implies), "or": (_OR, Or),
+           "and": (_AND, And)}
+
+
 class _Parser:
+    """Precedence climbing over the grammar
+
+        formula := unary (binop unary)*
+        unary   := "~" unary | "[" group "]" unary | "(" formula ")"
+                 | "true" | "false" | atom
+
+    where "&" binds tighter than "|", "|" than "->" and "->" than "<->";
+    "->" groups to the right and the others to the left.  Each rule
+    returns its formula and its depth: the most connectives, boxes and
+    parentheses that enclose one atom of it.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # the levels enclosing the rule being parsed
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -206,66 +232,54 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what}", tok[2])
         return self.take()
 
-    # formula := iff
-    def formula(self) -> Formula:
-        return self.iff()
+    def deeper(self, depth: int, pos: int) -> None:
+        """Enter the construct at ``pos``, around a part ``depth`` deep."""
+        if self.depth + depth >= _MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested more than {_MAX_DEPTH} levels deep", pos)
+        self.depth += 1
 
-    # iff := imp ("<->" imp)*        left associative
-    def iff(self) -> Formula:
-        node = self.imp()
-        while self.peek()[0] == "iff":
-            self.take()
-            node = Iff(node, self.imp())
-        return node
+    def formula(self, least: int = _IFF) -> tuple[Formula, int]:
+        """A formula whose connectives bind at least as tightly as ``least``."""
+        node, depth = self.unary()
+        while True:
+            kind, _, pos = self.tokens[self.pos]
+            level, make = _BINARY.get(kind, (0, None))
+            if level < least:
+                return node, depth
+            self.pos += 1
+            self.deeper(depth, pos)
+            right, right_depth = self.formula(
+                level if kind == "imp" else level + 1)
+            self.depth -= 1
+            node, depth = make(node, right), max(depth, right_depth) + 1
 
-    # imp := or ("->" imp)?          right associative
-    def imp(self) -> Formula:
-        node = self.disj()
-        if self.peek()[0] == "imp":
-            self.take()
-            return Implies(node, self.imp())
-        return node
-
-    # or := and ("|" and)*
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek()[0] == "or":
-            self.take()
-            node = Or(node, self.conj())
-        return node
-
-    # and := unary ("&" unary)*
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "not":
-            self.take()
-            return Not(self.unary())
-        if kind == "lbrack":
-            self.take()
-            group = self.group()
-            return Box(group, self.unary())
-        if kind == "true":
-            self.take()
-            return Top()
-        if kind == "false":
-            self.take()
-            return Bottom()
+    def unary(self) -> tuple[Formula, int]:
+        kind, value, pos = self.tokens[self.pos]
+        self.pos += 1
         if kind == "ident":
-            self.take()
-            return Atom(value)
-        if kind == "lparen":
-            self.take()
-            node = self.formula()
+            return Atom(value), 0
+        if kind == "true":
+            return Top(), 0
+        if kind == "false":
+            return Bottom(), 0
+        if kind == "not":
+            self.deeper(0, pos)
+            body, depth = self.unary()
+            node = Not(body)
+        elif kind == "lbrack":
+            group = self.group()
+            self.deeper(0, pos)
+            body, depth = self.unary()
+            node = Box(group, body)
+        elif kind == "lparen":
+            self.deeper(0, pos)
+            node, depth = self.formula()
             self.expect("rparen", "')'")
-            return node
-        raise FormulaSyntaxError("expected a formula", pos)
+        else:
+            raise FormulaSyntaxError("expected a formula", pos)
+        self.depth -= 1
+        return node, depth + 1
 
     def group(self) -> Group:
         agents = [self.agent()]
@@ -286,7 +300,7 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, raising FormulaSyntaxError on bad input."""
     parser = _Parser(text)
-    node = parser.formula()
+    node, _ = parser.formula()
     kind, _, pos = parser.peek()
     if kind != "end":
         raise FormulaSyntaxError("unexpected trailing input", pos)
@@ -295,9 +309,6 @@ def parse(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Printer
-
-# Precedence levels: higher binds tighter.
-_IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
 
 
 def _render(f: Formula, want: int) -> str:

@@ -7,6 +7,12 @@ Conditions either require or forbid membership of particular sets
 lexicographically least witness (world index, agent or group, set) when
 a condition fails.
 
+``_CONDITIONS`` has one row per condition class, in repair order: its
+name, what it quantifies over, its test of one family at one world, its
+repair step and the extension schemas valid on its frames.  Those are
+valid on every model of the class; the converse fails for PG, for SA
+and, with several agents, for DI (see the README).
+
 The closure operators only make sense for agent-indexed models, because
 they change the derived group families through the primitive ones; a
 GeneralModel is rejected.
@@ -15,13 +21,12 @@ GeneralModel is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import ModelFormatError, UnsupportedModelError
 from .formula import Group
 from .model import (
-    AgentModel, GeneralModel, Model, NeighbourhoodMap, WorldSet,
-    group_families,
+    AgentModel, Model, NeighbourhoodMap, WorldSet, group_families,
 )
 
 __all__ = [
@@ -113,11 +118,9 @@ class ConditionVerdict:
 
 
 def _subjects(m: Model) -> list[tuple["int | Group", tuple[frozenset[int], ...]]]:
-    """Families quantified over by the agent-generic conditions.
-
-    For an AgentModel: every agent, ascending.  For a GeneralModel: the
-    stored primitive group entries, sorted by size then members.
-    """
+    """Families quantified over by the agent-generic conditions: every
+    agent ascending, or on a GeneralModel the stored primitive group
+    entries, sorted by size then members."""
     if isinstance(m, AgentModel):
         return [(a, m.agents[a].families) for a in sorted(m.agents)]
     return [(g, m.groups[g].families)
@@ -141,6 +144,111 @@ def _agent_family(m: Model, agent: int) -> tuple[tuple[frozenset[int], ...], str
         f"group {{{agent}}} has no entry; using the default family {{{{}}}}"
 
 
+# ---------------------------------------------------------------------------
+# The table of conditions: local tests and repair steps on the family
+# ``fam`` at world ``w``, where ``full`` is W
+
+
+def _irreflexive_member(fam, w, full):
+    for x in sorted(fam):
+        if not (x >> w) & 1:
+            return x
+    return None
+
+
+def _complemented_member(fam, w, full):
+    for x in sorted(fam):
+        if (full ^ x) in fam:
+            return x
+    return None
+
+
+def _missing_superset(fam, w, full):
+    for x in sorted(fam):
+        for y in range(full + 1):
+            if x & y == x and y not in fam:
+                return y
+    return None
+
+
+def _missing_intersection(fam, w, full):
+    members = sorted(fam)
+    for x in members:
+        for y in members:
+            if x & y not in fam:
+                return x & y
+    return None
+
+
+def _close_supersets(fam, w, full, keep_full):
+    return frozenset(y for y in range(full + 1)
+                     if any(x & y == x for x in fam))
+
+
+def _close_intersections(fam, w, full, keep_full):
+    # After member x, ``out`` holds every intersection of a nonempty
+    # subfamily of the members up to x.
+    out = set(fam)
+    for x in fam:
+        out |= {x & y for y in out}
+    return frozenset(out)
+
+
+def _prune_complements(fam, w, full, keep_full):
+    # Drop the later set of each complementary pair.  The only pair a
+    # constraint can pin is (empty set, W): keep_full says nec pins W.
+    out = set(fam)
+    for x in fam:
+        y = full ^ x
+        if x < y and y in fam:
+            out.discard(x if keep_full and y == full else y)
+    return frozenset(out)
+
+
+class _Row(NamedTuple):
+    name: str        # as the CLI and the constraint syntax spell it
+    cls: type
+    subject: str     # its field, "agent" or "group"; or "every" subject
+    offending: Callable  # (fam, w, full) -> least witness set, or None
+    repair: "Callable | None"  # (fam, w, full, keep_full) -> fixed family
+    schemas: tuple[str, ...]  # extension kinds valid on its frames
+
+
+# In repair order: insertions, deletions, closures, then pruning; the
+# steps within one of those phases commute.  PGroup reads the derived
+# group family, which no repair step reaches.
+_CONDITIONS = (
+    _Row("nec", Nec, "agent", lambda f, w, full: None if full in f else full,
+         lambda f, w, full, keep_full: f | {full}, ("NEC", "SA")),
+    _Row("cop", Cop, "agent", lambda f, w, full: None if 0 in f else 0,
+         lambda f, w, full, keep_full: f | {0}, ("COP",)),
+    _Row("reflexive", Reflexive, "every", _irreflexive_member,
+         lambda f, w, full, keep_full: frozenset(x for x in f if x >> w & 1),
+         ("TG", "PG")),
+    _Row("p", P, "agent", lambda f, w, full: 0 if 0 in f else None,
+         lambda f, w, full, keep_full: f - {0}, ("P",)),
+    _Row("conec", Conec, "agent", lambda f, w, full: full if full in f else None,
+         lambda f, w, full, keep_full: f - {full}, ("CONEC",)),
+    _Row("monotone", Monotone, "every", _missing_superset, _close_supersets,
+         ("RMG",)),
+    _Row("intclosed", IntersectionClosed, "every", _missing_intersection,
+         _close_intersections, ("CG",)),
+    _Row("bincons", BinaryConsistent, "every", _complemented_member,
+         _prune_complements, ("DI",)),
+    _Row("pg", PGroup, "group", lambda f, w, full: 0 if 0 in f else None,
+         None, ()),
+)
+_BY_NAME = {row.name: row for row in _CONDITIONS}
+_BY_CLASS = {row.cls: row for row in _CONDITIONS}
+
+
+def _row(c: FrameCondition) -> _Row:
+    row = _BY_CLASS.get(type(c))
+    if row is None:
+        raise TypeError(f"not a frame condition: {c!r}")
+    return row
+
+
 def check_condition(m: Model, c: FrameCondition) -> ConditionVerdict:
     """Check ``c`` on ``m``; on failure report the least witness.
 
@@ -148,149 +256,71 @@ def check_condition(m: Model, c: FrameCondition) -> ConditionVerdict:
     via ``note``; it holds vacuously when it only restricts members and
     fails when it requires a member to be present.
     """
+    row = _row(c)
+    note = None
+    if row.subject == "agent":
+        fams, note = _agent_family(m, c.agent)
+        subjects = ((c.agent, fams),)
+    elif row.subject == "group":
+        subjects = ((c.group, group_families(m, c.group)),)
+    else:
+        subjects = _subjects(m)
     n = len(m.worlds)
     full = (1 << n) - 1
-
-    def ws(bits: int) -> WorldSet:
-        return WorldSet(bits, n)
-
-    if isinstance(c, (Nec, Conec, P, Cop)):
-        fams, note = _agent_family(m, c.agent)
-        required = {Nec: full, Cop: 0}.get(type(c))
-        forbidden = {Conec: full, P: 0}.get(type(c))
-        for w in range(n):
-            if required is not None and required not in fams[w]:
+    for w in range(n):
+        for subject, fams in subjects:
+            bad = row.offending(fams[w], w, full)
+            if bad is not None:
                 return ConditionVerdict(
-                    False, FrameWitness(m.worlds[w].label, c.agent, ws(required)),
-                    note)
-            if forbidden is not None and forbidden in fams[w]:
-                return ConditionVerdict(
-                    False, FrameWitness(m.worlds[w].label, c.agent, ws(forbidden)),
-                    note)
-        return ConditionVerdict(True, None, note)
-
-    if isinstance(c, PGroup):
-        fams = group_families(m, c.group)
-        for w in range(n):
-            if 0 in fams[w]:
-                return ConditionVerdict(
-                    False, FrameWitness(m.worlds[w].label, c.group, ws(0)))
-        return ConditionVerdict(True)
-
-    if isinstance(c, Reflexive):
-        for w in range(n):
-            for subject, fams in _subjects(m):
-                for x in sorted(fams[w]):
-                    if not (x >> w) & 1:
-                        return ConditionVerdict(
-                            False, FrameWitness(m.worlds[w].label, subject, ws(x)))
-        return ConditionVerdict(True)
-
-    if isinstance(c, BinaryConsistent):
-        for w in range(n):
-            for subject, fams in _subjects(m):
-                fam = fams[w]
-                for x in sorted(fam):
-                    if (full ^ x) in fam:
-                        return ConditionVerdict(
-                            False, FrameWitness(m.worlds[w].label, subject, ws(x)))
-        return ConditionVerdict(True)
-
-    if isinstance(c, Monotone):
-        for w in range(n):
-            for subject, fams in _subjects(m):
-                fam = fams[w]
-                for x in sorted(fam):
-                    for y in range(full + 1):
-                        if x & y == x and y not in fam:
-                            return ConditionVerdict(
-                                False,
-                                FrameWitness(m.worlds[w].label, subject, ws(y)))
-        return ConditionVerdict(True)
-
-    if isinstance(c, IntersectionClosed):
-        for w in range(n):
-            for subject, fams in _subjects(m):
-                fam = sorted(fams[w])
-                members = fams[w]
-                for x in fam:
-                    for y in fam:
-                        if x & y not in members:
-                            return ConditionVerdict(
-                                False,
-                                FrameWitness(m.worlds[w].label, subject, ws(x & y)))
-        return ConditionVerdict(True)
-
-    raise TypeError(f"not a frame condition: {c!r}")
+                    False, FrameWitness(m.worlds[w].label, subject,
+                                        WorldSet(bad, n)), note)
+    return ConditionVerdict(True, None, note)
 
 
 # ---------------------------------------------------------------------------
 # Closure operators
 
 
-def _close_family_supersets(fam: frozenset[int], full: int) -> frozenset[int]:
-    return frozenset(y for y in range(full + 1)
-                     if any(x & y == x for x in fam))
-
-
-def _close_family_intersections(fam: frozenset[int]) -> frozenset[int]:
-    # Binary closure reaches every intersection of a nonempty subfamily.
-    out = set(fam)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            z = x & y
-            if z not in out:
-                out.add(z)
-                frontier.append(z)
-    return frozenset(out)
-
-
-def _closed_model(m: AgentModel, close) -> AgentModel:
+def _closed_model(m: AgentModel, c: FrameCondition) -> AgentModel:
     if not isinstance(m, AgentModel):
         raise UnsupportedModelError(
             "closure operators require an agent-indexed model")
     n = len(m.worlds)
+    full = (1 << n) - 1
+    close = _row(c).repair
     agents = {
-        a: NeighbourhoodMap(n, (close(nm.families[w]) for w in range(n)))
+        a: NeighbourhoodMap(n, (close(nm.families[w], w, full, False)
+                                for w in range(n)))
         for a, nm in m.agents.items()}
     return AgentModel(m.worlds, dict(m.valuation), agents)
 
 
 def close_under_supersets(m: AgentModel) -> AgentModel:
     """Superset-close every agent family (valuation and worlds unchanged)."""
-    full = (1 << len(m.worlds)) - 1
-    return _closed_model(m, lambda fam: _close_family_supersets(fam, full))
+    return _closed_model(m, Monotone())
 
 
 def close_under_intersections(m: AgentModel) -> AgentModel:
     """Close every agent family under intersections of nonempty subfamilies."""
-    return _closed_model(m, _close_family_intersections)
+    return _closed_model(m, IntersectionClosed())
 
 
 # ---------------------------------------------------------------------------
 # Names used by the command line and the constraint syntax
-
-_SIMPLE_CONDITIONS = {
-    "reflexive": Reflexive,
-    "bincons": BinaryConsistent,
-    "monotone": Monotone,
-    "intclosed": IntersectionClosed,
-}
-
-_AGENT_CONDITIONS = {"nec": Nec, "conec": Conec, "p": P, "cop": Cop}
 
 
 def parse_condition(text: str) -> FrameCondition:
     """Parse names like ``reflexive``, ``nec:2`` or ``pg:1,2``."""
     name, sep, arg = text.strip().partition(":")
     name = name.lower()
-    if name in _SIMPLE_CONDITIONS:
+    row = _BY_NAME.get(name)
+    if row is None:
+        raise ModelFormatError(f"unknown frame condition {text!r}")
+    if row.subject == "every":
         if sep:
             raise ModelFormatError(f"condition {name!r} takes no argument")
-        return _SIMPLE_CONDITIONS[name]()
-    if name in _AGENT_CONDITIONS:
+        return row.cls()
+    if row.subject == "agent":
         try:
             agent = int(arg)
         except ValueError:
@@ -298,22 +328,15 @@ def parse_condition(text: str) -> FrameCondition:
         if agent is None or agent < 0:
             raise ModelFormatError(
                 f"condition {name!r} needs an agent id, got {arg!r}")
-        return _AGENT_CONDITIONS[name](agent)
-    if name == "pg":
-        try:
-            return PGroup(Group(tuple(int(p) for p in arg.split(","))))
-        except ValueError as exc:
-            raise ModelFormatError(f"bad group in {text!r}: {exc}") from None
-    raise ModelFormatError(f"unknown frame condition {text!r}")
+        return row.cls(agent)
+    try:
+        return row.cls(Group(tuple(int(p) for p in arg.split(","))))
+    except ValueError as exc:
+        raise ModelFormatError(f"bad group in {text!r}: {exc}") from None
 
 
 def format_condition(c: FrameCondition) -> str:
-    if isinstance(c, PGroup):
-        return f"pg:{c.group}"
-    for name, cls in _AGENT_CONDITIONS.items():
-        if isinstance(c, cls):
-            return f"{name}:{c.agent}"
-    for name, cls in _SIMPLE_CONDITIONS.items():
-        if isinstance(c, cls):
-            return name
-    raise TypeError(f"not a frame condition: {c!r}")
+    row = _row(c)
+    if row.subject == "every":
+        return row.name
+    return f"{row.name}:{getattr(c, row.subject)}"

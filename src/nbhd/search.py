@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import ConstraintError, ResourceLimitError
 from .formula import Formula, Group, render
 from .frames import (
-    BinaryConsistent, Conec, Cop, FrameCondition, IntersectionClosed,
-    Monotone, Nec, P, PGroup, Reflexive, check_condition, format_condition,
-    _AGENT_CONDITIONS, _SIMPLE_CONDITIONS,
-    _close_family_intersections, _close_family_supersets,
+    BinaryConsistent, Conec, Cop, FrameCondition, Nec, P, _BY_CLASS,
+    _CONDITIONS, check_condition, format_condition,
 )
 from .logics import (
     CounterExample, LogicDescriptor, SchemaId, check_schema_semantically,
@@ -86,12 +84,6 @@ class Stream:
 # ---------------------------------------------------------------------------
 # Bounds
 
-# PGroup is accepted as an exhaustive-mode filter only; random_model
-# rejects it (it cannot be repaired into place).
-_SUPPORTED_CONSTRAINTS = (Nec, Conec, P, Cop, Reflexive, BinaryConsistent,
-                          Monotone, IntersectionClosed, PGroup)
-
-
 @dataclass(frozen=True)
 class SearchBounds:
     """Search space plus generation mode.
@@ -127,11 +119,11 @@ class SearchBounds:
         object.__setattr__(self, "frame_constraints",
                            tuple(self.frame_constraints))
         for c in self.frame_constraints:
-            if not isinstance(c, _SUPPORTED_CONSTRAINTS):
+            row = _BY_CLASS.get(type(c))
+            if row is None:
                 raise ValueError(f"unknown frame constraint {c!r}")
-            agent = getattr(c, "agent", None)
-            named = ((agent,) if agent is not None
-                     else tuple(c.group) if isinstance(c, PGroup) else ())
+            named = ((c.agent,) if row.subject == "agent"
+                     else tuple(getattr(c, "group", ())))
             for a in named:
                 if a not in agents:
                     raise ValueError(
@@ -160,9 +152,7 @@ class SearchBounds:
 
 def _static_contradictions(constraints: Sequence[FrameCondition]) -> None:
     have = set(constraints)
-    agents = {getattr(c, "agent") for c in constraints
-              if isinstance(c, (Nec, Conec, P, Cop))}
-    for a in sorted(agents):
+    for a in sorted({c.agent for c in have if hasattr(c, "agent")}):
         if Nec(a) in have and Conec(a) in have:
             raise ConstraintError(
                 f"nec:{a} and conec:{a} cannot both hold")
@@ -175,60 +165,22 @@ def _static_contradictions(constraints: Sequence[FrameCondition]) -> None:
                 "set and the full set are complements")
 
 
-def _repair(families: "dict[int, list[set[int]]]", n: int,
+def _repair(families: "dict[int, list[frozenset[int]]]", n: int,
             constraints: Sequence[FrameCondition]) -> None:
+    """Apply the constraints' steps to each family, in table order."""
     full = (1 << n) - 1
     have = set(constraints)
-    agents = sorted(families)
-
-    # 1. insertions
-    for c in constraints:
-        if isinstance(c, Nec):
-            for fam in families[c.agent]:
-                fam.add(full)
-        elif isinstance(c, Cop):
-            for fam in families[c.agent]:
-                fam.add(0)
-
-    # 2. deletions
-    if Reflexive() in have:
-        for a in agents:
-            for w, fam in enumerate(families[a]):
-                fam.intersection_update({x for x in fam if (x >> w) & 1})
-    for c in constraints:
-        if isinstance(c, P):
-            for fam in families[c.agent]:
-                fam.discard(0)
-        elif isinstance(c, Conec):
-            for fam in families[c.agent]:
-                fam.discard(full)
-
-    # 3. closures
-    if Monotone() in have:
-        for a in agents:
-            families[a] = [set(_close_family_supersets(frozenset(fam), full))
-                           for fam in families[a]]
-    if IntersectionClosed() in have:
-        for a in agents:
-            families[a] = [set(_close_family_intersections(frozenset(fam)))
-                           for fam in families[a]]
-
-    # 4. binary-consistency pruning
-    if BinaryConsistent() in have:
-        for a in agents:
-            protected = set()
-            if Nec(a) in have:
-                protected.add(full)
-            if Cop(a) in have:
-                protected.add(0)
-            for fam in families[a]:
-                for x in sorted(fam):
-                    y = full ^ x
-                    if x >= y or x not in fam or y not in fam:
-                        continue
-                    # drop the later member, unless an insertion
-                    # constraint pinned it there
-                    fam.discard(x if y in protected else y)
+    for a, fams in families.items():
+        # the constraints on agent a and those on every agent
+        kinds = {type(c) for c in have if getattr(c, "agent", a) == a}
+        if not kinds:
+            continue
+        steps = [row.repair for row in _CONDITIONS if row.cls in kinds]
+        keep_full = Nec in kinds
+        for w, fam in enumerate(fams):
+            for step in steps:
+                fam = step(fam, w, full, keep_full)
+            fams[w] = fam
 
 
 def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
@@ -238,18 +190,19 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
     Draw order: domain size uniform in 1..max_worlds; per atom (bounds
     order) a world set; per agent (bounds order) per world (ascending)
     a family code over all 2^|W| subsets.  The model is then repaired
-    to satisfy the frame constraints: Nec/Cop insertions, then
-    Reflexive/P/Conec deletions, then Monotone/IntersectionClosed
-    closures, then BinaryConsistent pruning (dropping the bitwise
-    later of each complementary pair, keeping insertion-pinned sets);
-    the result is re-verified and unsatisfiable combinations raise
-    ConstraintError.  PGroup cannot be repaired into place — request
-    Reflexive instead, which implies it.
+    to satisfy the frame constraints: each (agent, world) family takes
+    the repair steps of the constraints on it in the order of the table
+    in ``frames``: Nec/Cop insertions, then Reflexive/P/Conec deletions,
+    then Monotone/IntersectionClosed closures, then BinaryConsistent
+    pruning (dropping the bitwise later of each complementary pair, but
+    ∅ rather than W when nec pins W); the result is re-verified and
+    unsatisfiable combinations raise ConstraintError.  PGroup cannot be
+    repaired into place — request Reflexive instead, which implies it.
     """
     if bounds.mode != "random":
         raise ValueError("random_model needs bounds in random mode")
     for c in bounds.frame_constraints:
-        if isinstance(c, PGroup):
+        if _BY_CLASS[type(c)].repair is None:
             raise ConstraintError(
                 f"{format_condition(c)} cannot be enforced by repair; "
                 "use reflexive, which implies it")
@@ -257,23 +210,19 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
 
     rng = Stream(bounds.seed, draw)
     n = 1 + rng.below(bounds.max_worlds)
-    full = (1 << n) - 1
     worlds = tuple(World(i, f"w{i}") for i in range(n))
     valuation = {atom: WorldSet(rng.below(1 << n), n) for atom in bounds.atoms}
-    families: dict[int, list[set[int]]] = {}
-    for agent in bounds.agents:
-        per_world = []
-        for _w in range(n):
-            code = rng.below(1 << (1 << n))
-            per_world.append({s for s in range(1 << n) if (code >> s) & 1})
-        families[agent] = per_world
+    codes = {agent: [rng.below(1 << (1 << n)) for _w in range(n)]
+             for agent in bounds.agents}
+    families = {agent: [frozenset(s for s in range(1 << n) if (code >> s) & 1)
+                        for code in per_world]
+                for agent, per_world in codes.items()}
 
     _repair(families, n, bounds.frame_constraints)
 
     model = AgentModel(
         worlds, valuation,
-        {a: NeighbourhoodMap(n, tuple(frozenset(fam) for fam in fams))
-         for a, fams in families.items()})
+        {a: NeighbourhoodMap(n, fams) for a, fams in families.items()})
     for c in bounds.frame_constraints:
         verdict = check_condition(model, c)
         if not verdict.holds:
@@ -392,32 +341,20 @@ def find_countermodel(target: "Formula | SchemaTarget",
 # ---------------------------------------------------------------------------
 # Soundness fuzzing
 
-# The frame condition each extension needs, by its name in frames.
-_SCHEMA_CONSTRAINT = {
-    "TG": "reflexive", "PG": "reflexive", "RMG": "monotone",
-    "CG": "intclosed", "DI": "bincons",
-    "NEC": "nec", "CONEC": "conec", "P": "p", "COP": "cop",
-}
-
-
 def required_constraints(l: LogicDescriptor,
                          agents: Sequence[int]) -> tuple[FrameCondition, ...]:
-    """Frame constraints matching the logic, for sound fuzzing.
-
-    B1–B4 need nothing; TG and PG need Reflexive; RMG Monotone; CG
-    IntersectionClosed; DI BinaryConsistent; the other agent-indexed
-    schemas need their namesake conditions; SA needs Nec for every
-    agent in the bounds.
+    """Frame constraints matching the logic, for sound fuzzing: for each
+    extension, the condition whose frames validate it (B1–B4 need none;
+    SA needs Nec for every agent in the bounds).
     """
     out: list[FrameCondition] = []
     for s in sorted(l.extensions, key=format_schema):
-        name = _SCHEMA_CONSTRAINT.get(s.kind)
-        if s.kind == "SA":
-            out.extend(Nec(a) for a in agents)
-        elif name in _AGENT_CONDITIONS:
-            out.append(_AGENT_CONDITIONS[name](s.agent))
-        elif name is not None:
-            out.append(_SIMPLE_CONDITIONS[name]())
+        for row in (r for r in _CONDITIONS if s.kind in r.schemas):
+            if row.subject == "every":
+                out.append(row.cls())
+            else:  # SA names no agent and needs nec for all of them
+                ids = agents if s.agent is None else (s.agent,)
+                out.extend(row.cls(a) for a in ids)
     return tuple(dict.fromkeys(out))
 
 

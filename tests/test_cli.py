@@ -80,6 +80,14 @@ def test_check_bad_formula(capsys, m1):
     assert err == "error: expected an agent id (at position 1)\n"
 
 
+def test_check_formula_nested_too_deep(capsys, m1):
+    code, out, err = run(capsys, "check", "--model", m1,
+                         "--formula", "~" * 2000 + "p")
+    assert (code, out) == (2, [])
+    assert err == ("error: formula nested more than 100 levels deep "
+                   "(at position 100)\n")
+
+
 def test_check_missing_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--model",
                        str(tmp_path / "none.json"), "--formula", "p")
@@ -139,6 +147,21 @@ def test_valid_with_constraints(capsys):
                        "--constraints", "reflexive")
     assert (code, out) == (0, ["no countermodel within bounds "
                                "(not a validity proof)"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--formula", "p", "--agents", "²"),
+     "--agents needs comma-separated agent ids, got '²'"),
+    (("--formula", "p", "--agents", "1, x"),
+     "--agents needs comma-separated agent ids, got 'x'"),
+    (("--schema", "b1", "--pool", "1;x"),
+     "--pool needs comma-separated agent ids, got 'x'"),
+    (("--schema", "b1", "--pool", "1,,2"),
+     "--pool needs comma-separated agent ids, got ''"),
+])
+def test_valid_bad_agent_ids(capsys, argv, message):
+    code, out, err = run(capsys, "valid", *argv)
+    assert (code, out, err) == (2, [], f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,23 @@ atoms, with no constraint and with each supported one.
 ``tokenize_reference`` and ``group_reference`` are verbatim copies of
 the character-by-character ``_tokenize`` that the one-regex scan in
 ``nbhd.formula`` replaced and of the ``_Parser.group`` that read agent
-ids with a bare ``int()``.  The test requires the same token list or the
-same ``FormulaSyntaxError``, and ``parse`` on top of either to give the
-same formula or the same error, on text over the language's characters,
+ids with a bare ``int()``; ``ParserReference`` and ``parse_reference``
+are verbatim copies of the recursive-descent parser that precedence
+climbing replaced, on top of those two.  The test requires the same
+token list or the same ``FormulaSyntaxError``, and the same formula or
+the same error from ``parse``, on text over the language's characters,
 Unicode whitespace, letters and digits.  The one change allowed: where
 the reference raised a bare ``ValueError`` ("²" is ``str.isdigit()`` but
 no decimal digit), ``parse`` now raises ``FormulaSyntaxError``.
+
+``check_condition_reference``, ``random_model_reference`` (with
+``_repair`` and the closures it calls), ``format_reference`` and
+``required_reference`` are verbatim copies of the frame-condition code
+that the condition table in ``nbhd.frames`` replaced.  The tests require
+the same ``ConditionVerdict`` (holds, witness and note) for every kind
+of condition, including absent agents and groups, the same repaired
+model or ``ConstraintError`` message from every combination of up to
+three constraints, and the same names and required constraints.
 """
 
 from __future__ import annotations
@@ -39,22 +50,24 @@ from __future__ import annotations
 import itertools
 import string
 from typing import Iterable, Iterator, Mapping, Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbhd import (
     AgentModel, And, Atom, AxiomRef, B2, B3, BinaryConsistent, Bottom, Box,
-    CERTIFICATE_NAMES, Conec, Cop, CounterExample, Formula,
-    FormulaSyntaxError, GeneralModel, Group, Iff, Implies, IntersectionClosed,
+    CERTIFICATE_NAMES, ConditionVerdict, Conec, ConstraintError, Cop,
+    CounterExample, Formula, FormulaSyntaxError, FrameCondition, FrameWitness,
+    GeneralModel, Group, Iff, Implies, IntersectionClosed, LogicDescriptor,
     Monotone, Nec, NeighbourhoodMap, Not, Or, PCondition, PGroup, Reflexive,
-    ResourceLimitError, SchemaId, SchemaVerdict, SearchBounds, Top, World,
-    WorldSet, builtin_certificate, check_condition, check_schema_semantically,
-    default_group_pool, exhaustive_models, format_schema, group_families,
-    instantiate_schema, match_schema, parse, proof_from_dict,
+    ResourceLimitError, SchemaId, SchemaVerdict, SearchBounds, Stream, Top,
+    World, WorldSet, builtin_certificate, check_condition,
+    check_schema_semantically, default_group_pool, exhaustive_models,
+    format_condition, format_schema, group_families, instantiate_schema,
+    match_schema, parse, proof_from_dict, random_model, required_constraints,
 )
 import nbhd.formula
+from nbhd.frames import P
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
 from nbhd.model import Model, _state_cap
 from nbhd.search import _EXHAUSTIVE_LIMIT
@@ -825,7 +838,7 @@ def test_enumeration_matches_reference(monkeypatch, n, agents, atoms):
 
 
 # ---------------------------------------------------------------------------
-# Reference tokenizer and agent ids (copied verbatim)
+# Reference tokenizer, agent ids and parser (copied verbatim)
 
 
 _SYMBOLS = (
@@ -889,8 +902,101 @@ def group_reference(self) -> Group:
     return Group(tuple(agents))
 
 
+class ParserReference:
+    def __init__(self, text: str):
+        self.tokens = tokenize_reference(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok[0] != kind:
+            raise FormulaSyntaxError(f"expected {what}", tok[2])
+        return self.take()
+
+    # formula := iff
+    def formula(self) -> Formula:
+        return self.iff()
+
+    # iff := imp ("<->" imp)*        left associative
+    def iff(self) -> Formula:
+        node = self.imp()
+        while self.peek()[0] == "iff":
+            self.take()
+            node = Iff(node, self.imp())
+        return node
+
+    # imp := or ("->" imp)?          right associative
+    def imp(self) -> Formula:
+        node = self.disj()
+        if self.peek()[0] == "imp":
+            self.take()
+            return Implies(node, self.imp())
+        return node
+
+    # or := and ("|" and)*
+    def disj(self) -> Formula:
+        node = self.conj()
+        while self.peek()[0] == "or":
+            self.take()
+            node = Or(node, self.conj())
+        return node
+
+    # and := unary ("&" unary)*
+    def conj(self) -> Formula:
+        node = self.unary()
+        while self.peek()[0] == "and":
+            self.take()
+            node = And(node, self.unary())
+        return node
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "not":
+            self.take()
+            return Not(self.unary())
+        if kind == "lbrack":
+            self.take()
+            group = self.group()
+            return Box(group, self.unary())
+        if kind == "true":
+            self.take()
+            return Top()
+        if kind == "false":
+            self.take()
+            return Bottom()
+        if kind == "ident":
+            self.take()
+            return Atom(value)
+        if kind == "lparen":
+            self.take()
+            node = self.formula()
+            self.expect("rparen", "')'")
+            return node
+        raise FormulaSyntaxError("expected a formula", pos)
+
+    group = group_reference
+
+
+def parse_reference(text: str) -> Formula:
+    """Parse ``text`` into a formula, raising FormulaSyntaxError on bad input."""
+    parser = ParserReference(text)
+    node = parser.formula()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise FormulaSyntaxError("unexpected trailing input", pos)
+    return node
+
+
 # ---------------------------------------------------------------------------
-# Tokenizer oracle
+# Tokenizer and parser oracle
 
 
 def _parse_outcome(fn, text):
@@ -902,10 +1008,6 @@ def _parse_outcome(fn, text):
         return (ValueError, str(exc))
 
 
-def parse_reference(text):
-    with mock.patch.object(nbhd.formula, "_tokenize", tokenize_reference), \
-            mock.patch.object(nbhd.formula._Parser, "group", group_reference):
-        return parse(text)
 
 
 _PIECES = (["<->", "->", "~", "&", "|", "(", ")", "[", "]", ",", "<", "-",
@@ -937,8 +1039,19 @@ _TEXT = st.recursive(
     max_leaves=6)
 
 
+# Well-formed text with up to 12 atoms, so that precedence,
+# associativity and parentheses decide the tree.
+_GRAMMAR = st.recursive(
+    st.sampled_from(["p", "q", "true"]),
+    lambda sub: st.one_of(
+        _spaced("~", sub), _spaced(st.sampled_from(["[1]", "[1,2]"]), sub),
+        _spaced("(", sub, ")"),
+        _spaced(sub, st.sampled_from([" <-> ", " -> ", " | ", " & "]), sub)),
+    max_leaves=12)
+
+
 @settings(max_examples=800, deadline=None)
-@given(text=st.one_of(_SOUP, _TEXT, _spaced(_WS, _TEXT, _WS)))
+@given(text=st.one_of(_SOUP, _TEXT, _spaced(_WS, _TEXT, _WS), _GRAMMAR))
 def test_tokenizer_matches_reference(text):
     expected = _parse_outcome(tokenize_reference, text)
     assert _parse_outcome(nbhd.formula._tokenize, text) == expected
@@ -955,3 +1068,391 @@ def test_tokenizer_fixes_the_bare_value_error():
         ValueError, "invalid literal for int() with base 10: '²'")
     assert _parse_outcome(parse, "[²]p") == (
         FormulaSyntaxError, "expected an agent id (at position 1)", 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference frame conditions and repair (copied verbatim, renamed)
+
+
+def _subjects(m: Model) -> list[tuple["int | Group", tuple[frozenset[int], ...]]]:
+    """Families quantified over by the agent-generic conditions.
+
+    For an AgentModel: every agent, ascending.  For a GeneralModel: the
+    stored primitive group entries, sorted by size then members.
+    """
+    if isinstance(m, AgentModel):
+        return [(a, m.agents[a].families) for a in sorted(m.agents)]
+    return [(g, m.groups[g].families)
+            for g in sorted(m.groups, key=Group.sort_key)]
+
+
+def _agent_family(m: Model, agent: int) -> tuple[tuple[frozenset[int], ...], str | None]:
+    """An agent's primitive families plus a note if the agent is absent."""
+    if isinstance(m, AgentModel):
+        nm = m.agents.get(agent)
+        if nm is not None:
+            return nm.families, None
+        n = len(m.worlds)
+        return (frozenset(),) * n, f"agent {agent} is absent from the model"
+    g = Group.of(agent)
+    nm = m.groups.get(g)
+    if nm is not None:
+        return nm.families, None
+    n = len(m.worlds)
+    return (frozenset((0,)),) * n, \
+        f"group {{{agent}}} has no entry; using the default family {{{{}}}}"
+
+
+def check_condition_reference(m: Model, c: FrameCondition) -> ConditionVerdict:
+    """Check ``c`` on ``m``; on failure report the least witness.
+
+    A condition naming an agent the model does not mention is reported
+    via ``note``; it holds vacuously when it only restricts members and
+    fails when it requires a member to be present.
+    """
+    n = len(m.worlds)
+    full = (1 << n) - 1
+
+    def ws(bits: int) -> WorldSet:
+        return WorldSet(bits, n)
+
+    if isinstance(c, (Nec, Conec, P, Cop)):
+        fams, note = _agent_family(m, c.agent)
+        required = {Nec: full, Cop: 0}.get(type(c))
+        forbidden = {Conec: full, P: 0}.get(type(c))
+        for w in range(n):
+            if required is not None and required not in fams[w]:
+                return ConditionVerdict(
+                    False, FrameWitness(m.worlds[w].label, c.agent, ws(required)),
+                    note)
+            if forbidden is not None and forbidden in fams[w]:
+                return ConditionVerdict(
+                    False, FrameWitness(m.worlds[w].label, c.agent, ws(forbidden)),
+                    note)
+        return ConditionVerdict(True, None, note)
+
+    if isinstance(c, PGroup):
+        fams = group_families(m, c.group)
+        for w in range(n):
+            if 0 in fams[w]:
+                return ConditionVerdict(
+                    False, FrameWitness(m.worlds[w].label, c.group, ws(0)))
+        return ConditionVerdict(True)
+
+    if isinstance(c, Reflexive):
+        for w in range(n):
+            for subject, fams in _subjects(m):
+                for x in sorted(fams[w]):
+                    if not (x >> w) & 1:
+                        return ConditionVerdict(
+                            False, FrameWitness(m.worlds[w].label, subject, ws(x)))
+        return ConditionVerdict(True)
+
+    if isinstance(c, BinaryConsistent):
+        for w in range(n):
+            for subject, fams in _subjects(m):
+                fam = fams[w]
+                for x in sorted(fam):
+                    if (full ^ x) in fam:
+                        return ConditionVerdict(
+                            False, FrameWitness(m.worlds[w].label, subject, ws(x)))
+        return ConditionVerdict(True)
+
+    if isinstance(c, Monotone):
+        for w in range(n):
+            for subject, fams in _subjects(m):
+                fam = fams[w]
+                for x in sorted(fam):
+                    for y in range(full + 1):
+                        if x & y == x and y not in fam:
+                            return ConditionVerdict(
+                                False,
+                                FrameWitness(m.worlds[w].label, subject, ws(y)))
+        return ConditionVerdict(True)
+
+    if isinstance(c, IntersectionClosed):
+        for w in range(n):
+            for subject, fams in _subjects(m):
+                fam = sorted(fams[w])
+                members = fams[w]
+                for x in fam:
+                    for y in fam:
+                        if x & y not in members:
+                            return ConditionVerdict(
+                                False,
+                                FrameWitness(m.worlds[w].label, subject, ws(x & y)))
+        return ConditionVerdict(True)
+
+    raise TypeError(f"not a frame condition: {c!r}")
+
+
+def _close_family_supersets(fam: frozenset[int], full: int) -> frozenset[int]:
+    return frozenset(y for y in range(full + 1)
+                     if any(x & y == x for x in fam))
+
+
+def _close_family_intersections(fam: frozenset[int]) -> frozenset[int]:
+    # Binary closure reaches every intersection of a nonempty subfamily.
+    out = set(fam)
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        for y in list(out):
+            z = x & y
+            if z not in out:
+                out.add(z)
+                frontier.append(z)
+    return frozenset(out)
+
+
+_SIMPLE_CONDITIONS = {
+    "reflexive": Reflexive,
+    "bincons": BinaryConsistent,
+    "monotone": Monotone,
+    "intclosed": IntersectionClosed,
+}
+
+_AGENT_CONDITIONS = {"nec": Nec, "conec": Conec, "p": P, "cop": Cop}
+
+
+def format_reference(c: FrameCondition) -> str:
+    if isinstance(c, PGroup):
+        return f"pg:{c.group}"
+    for name, cls in _AGENT_CONDITIONS.items():
+        if isinstance(c, cls):
+            return f"{name}:{c.agent}"
+    for name, cls in _SIMPLE_CONDITIONS.items():
+        if isinstance(c, cls):
+            return name
+    raise TypeError(f"not a frame condition: {c!r}")
+
+
+def _static_contradictions(constraints: Sequence[FrameCondition]) -> None:
+    have = set(constraints)
+    agents = {getattr(c, "agent") for c in constraints
+              if isinstance(c, (Nec, Conec, P, Cop))}
+    for a in sorted(agents):
+        if Nec(a) in have and Conec(a) in have:
+            raise ConstraintError(
+                f"nec:{a} and conec:{a} cannot both hold")
+        if P(a) in have and Cop(a) in have:
+            raise ConstraintError(f"p:{a} and cop:{a} cannot both hold")
+        if (BinaryConsistent() in have and Nec(a) in have
+                and Cop(a) in have):
+            raise ConstraintError(
+                f"bincons with nec:{a} and cop:{a} cannot hold: the empty "
+                "set and the full set are complements")
+
+
+def _repair(families: "dict[int, list[set[int]]]", n: int,
+            constraints: Sequence[FrameCondition]) -> None:
+    full = (1 << n) - 1
+    have = set(constraints)
+    agents = sorted(families)
+
+    # 1. insertions
+    for c in constraints:
+        if isinstance(c, Nec):
+            for fam in families[c.agent]:
+                fam.add(full)
+        elif isinstance(c, Cop):
+            for fam in families[c.agent]:
+                fam.add(0)
+
+    # 2. deletions
+    if Reflexive() in have:
+        for a in agents:
+            for w, fam in enumerate(families[a]):
+                fam.intersection_update({x for x in fam if (x >> w) & 1})
+    for c in constraints:
+        if isinstance(c, P):
+            for fam in families[c.agent]:
+                fam.discard(0)
+        elif isinstance(c, Conec):
+            for fam in families[c.agent]:
+                fam.discard(full)
+
+    # 3. closures
+    if Monotone() in have:
+        for a in agents:
+            families[a] = [set(_close_family_supersets(frozenset(fam), full))
+                           for fam in families[a]]
+    if IntersectionClosed() in have:
+        for a in agents:
+            families[a] = [set(_close_family_intersections(frozenset(fam)))
+                           for fam in families[a]]
+
+    # 4. binary-consistency pruning
+    if BinaryConsistent() in have:
+        for a in agents:
+            protected = set()
+            if Nec(a) in have:
+                protected.add(full)
+            if Cop(a) in have:
+                protected.add(0)
+            for fam in families[a]:
+                for x in sorted(fam):
+                    y = full ^ x
+                    if x >= y or x not in fam or y not in fam:
+                        continue
+                    # drop the later member, unless an insertion
+                    # constraint pinned it there
+                    fam.discard(x if y in protected else y)
+
+
+def random_model_reference(bounds: SearchBounds, draw: int) -> AgentModel:
+    """The ``draw``-th model of the run — a pure function of
+    ``(bounds.seed, draw)``.
+
+    Draw order: domain size uniform in 1..max_worlds; per atom (bounds
+    order) a world set; per agent (bounds order) per world (ascending)
+    a family code over all 2^|W| subsets.  The model is then repaired
+    to satisfy the frame constraints: Nec/Cop insertions, then
+    Reflexive/P/Conec deletions, then Monotone/IntersectionClosed
+    closures, then BinaryConsistent pruning (dropping the bitwise
+    later of each complementary pair, keeping insertion-pinned sets);
+    the result is re-verified and unsatisfiable combinations raise
+    ConstraintError.  PGroup cannot be repaired into place — request
+    Reflexive instead, which implies it.
+    """
+    if bounds.mode != "random":
+        raise ValueError("random_model needs bounds in random mode")
+    for c in bounds.frame_constraints:
+        if isinstance(c, PGroup):
+            raise ConstraintError(
+                f"{format_reference(c)} cannot be enforced by repair; "
+                "use reflexive, which implies it")
+    _static_contradictions(bounds.frame_constraints)
+
+    rng = Stream(bounds.seed, draw)
+    n = 1 + rng.below(bounds.max_worlds)
+    full = (1 << n) - 1
+    worlds = tuple(World(i, f"w{i}") for i in range(n))
+    valuation = {atom: WorldSet(rng.below(1 << n), n) for atom in bounds.atoms}
+    families: dict[int, list[set[int]]] = {}
+    for agent in bounds.agents:
+        per_world = []
+        for _w in range(n):
+            code = rng.below(1 << (1 << n))
+            per_world.append({s for s in range(1 << n) if (code >> s) & 1})
+        families[agent] = per_world
+
+    _repair(families, n, bounds.frame_constraints)
+
+    model = AgentModel(
+        worlds, valuation,
+        {a: NeighbourhoodMap(n, tuple(frozenset(fam) for fam in fams))
+         for a, fams in families.items()})
+    for c in bounds.frame_constraints:
+        verdict = check_condition_reference(model, c)
+        if not verdict.holds:
+            where = (f" at world {verdict.witness.world}"
+                     if verdict.witness else "")
+            raise ConstraintError(
+                f"repair left {format_reference(c)} unsatisfied{where}")
+    return model
+
+
+# The frame condition each extension needs, by its name in frames.
+_SCHEMA_CONSTRAINT = {
+    "TG": "reflexive", "PG": "reflexive", "RMG": "monotone",
+    "CG": "intclosed", "DI": "bincons",
+    "NEC": "nec", "CONEC": "conec", "P": "p", "COP": "cop",
+}
+
+
+def required_reference(l: LogicDescriptor,
+                       agents: Sequence[int]) -> tuple[FrameCondition, ...]:
+    """Frame constraints matching the logic, for sound fuzzing.
+
+    B1–B4 need nothing; TG and PG need Reflexive; RMG Monotone; CG
+    IntersectionClosed; DI BinaryConsistent; the other agent-indexed
+    schemas need their namesake conditions; SA needs Nec for every
+    agent in the bounds.
+    """
+    out: list[FrameCondition] = []
+    for s in sorted(l.extensions, key=format_schema):
+        name = _SCHEMA_CONSTRAINT.get(s.kind)
+        if s.kind == "SA":
+            out.extend(Nec(a) for a in agents)
+        elif name in _AGENT_CONDITIONS:
+            out.append(_AGENT_CONDITIONS[name](s.agent))
+        elif name is not None:
+            out.append(_SIMPLE_CONDITIONS[name]())
+    return tuple(dict.fromkeys(out))
+
+
+# ---------------------------------------------------------------------------
+# Frame-condition oracle: the condition table against the reference
+
+
+def _conditions(agents, groups):
+    """All nine kinds, over the given agents and groups."""
+    out = [Reflexive(), BinaryConsistent(), Monotone(), IntersectionClosed()]
+    for a in agents:
+        out += [Nec(a), Conec(a), P(a), Cop(a)]
+    return out + [PGroup(g) for g in groups]
+
+
+def _assert_same_verdicts(m, conditions):
+    for c in conditions:
+        assert check_condition(m, c) == check_condition_reference(m, c), c
+        assert format_condition(c) == format_reference(c)
+
+
+def test_conditions_match_reference_on_the_one_agent_space():
+    # agents 0 and 2, and groups naming them, are absent from every model
+    conditions = _conditions((0, 1, 2), (Group.of(1), Group.of(2),
+                                         Group.of(1, 2)))
+    bounds = SearchBounds(max_worlds=2, agents=(1,), mode="exhaustive")
+    models = list(exhaustive_models(bounds))
+    assert len(models) == 4 + 256
+    for m in models:
+        _assert_same_verdicts(m, conditions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cases())
+def test_conditions_match_reference(case):
+    # Agents 0-4 and the pool's groups: on an AgentModel some agents are
+    # absent; on a GeneralModel agents 3 and 4 have no group entry.
+    n, general, families, valuation, pool, _ = case
+    _assert_same_verdicts(_build(n, general, families, valuation),
+                          _conditions(range(5), pool))
+
+
+# One constraint of each kind, all on agent 1 of two, so that agent 2
+# shows whether a step or the keep-W rule leaks to other agents.
+_CONSTRAINTS = (Nec(1), Cop(1), Reflexive(), P(1), Conec(1), Monotone(),
+                IntersectionClosed(), BinaryConsistent(), PGroup(Group.of(1)))
+
+
+def _drawn(draw_model, bounds, draw):
+    try:
+        return draw_model(bounds, draw)
+    except ConstraintError as exc:
+        return str(exc)
+
+
+def test_repair_matches_reference():
+    for k in (1, 2, 3):
+        for combo in itertools.combinations(_CONSTRAINTS, k):
+            bounds = SearchBounds(max_worlds=3, agents=(1, 2), atoms=("p",),
+                                  seed=20260825, frame_constraints=combo)
+            for draw in range(25):
+                assert (_drawn(random_model, bounds, draw)
+                        == _drawn(random_model_reference, bounds, draw)), \
+                    (combo, draw)
+
+
+def test_required_constraints_match_reference():
+    extensions = [SchemaId(kind, agent) for kind in _KINDS
+                  if kind not in ("B1", "B2", "B3", "B4")
+                  for agent in ((1, 2) if kind in _AGENT_KINDS else (None,))]
+    for k in (0, 1, 2, 3):
+        for exts in itertools.combinations(extensions, k):
+            for cg in (False, True):
+                logic = LogicDescriptor(frozenset(exts), cg)
+                for agents in ((1, 2), (2,)):
+                    assert (required_constraints(logic, agents)
+                            == required_reference(logic, agents)), exts

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nbhd import (
-    And, Atom, Bottom, Box, FormulaSyntaxError, Group, Iff, Implies, Not, Or,
-    ResourceLimitError, Top, boxed_atoms, formula_agents, formula_atoms,
-    is_propositional_tautology, normalize, parse, render,
+    AgentModel, And, Atom, Bottom, Box, FormulaSyntaxError, Group, Iff,
+    Implies, NeighbourhoodMap, Not, Or, ResourceLimitError, Top, World,
+    WorldSet, boxed_atoms, formula_agents, formula_atoms,
+    is_propositional_tautology, normalize, parse, render, truth_set,
 )
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
@@ -123,6 +124,41 @@ def test_lexical_rules():
         with pytest.raises(FormulaSyntaxError) as exc:
             parse(text)
         assert exc.value.position == position
+
+
+# Each block adds four levels: a negation, a box, parentheses and "&".
+_DEPTH_100 = "~[1](p & " * 25 + "q" + ")" * 25
+
+
+def test_nesting_guard_accepts_depth_100():
+    for text in (_DEPTH_100, "~" * 100 + "p", "(" * 100 + "p" + ")" * 100,
+                 " & ".join(["p"] * 101), " -> ".join(["p"] * 101)):
+        f = parse(text)
+        assert parse(render(f)) == f
+    # Each block flips the truth value at the one world w, where p holds:
+    # ~[1](p & false) is true and ~[1](p & true) false, as N_1(w) = {{w}}.
+    # There are 25 blocks, so the formula is true at w iff q is false.
+    f = parse(_DEPTH_100)
+    for q in (0, 1):
+        m = AgentModel((World(0, "w"),),
+                       {"p": WorldSet(1, 1), "q": WorldSet(q, 1)},
+                       {1: NeighbourhoodMap(1, [{1}])})
+        assert truth_set(m, f) == WorldSet(1 - q, 1)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("~" * 2000 + "p", 100),                     # the 101st "~"
+    ("(" * 1000 + "p" + ")" * 1000, 100),        # the 101st "("
+    ("&".join(["p"] * 600), 201),                # the 101st "&"
+    ("[1]" * 101 + "p", 300),                    # the 101st box
+    (" -> ".join(["p"] * 102), 502),             # the 101st "->"
+    ("~~" + _DEPTH_100, 222),                    # the 25th "("
+])
+def test_nesting_guard_rejects_depth_101(text, position):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == (f"formula nested more than 100 levels deep "
+                              f"(at position {position})")
 
 
 def test_trailing_whitespace_is_scanned_once():

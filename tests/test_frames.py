@@ -4,13 +4,15 @@ import pytest
 
 from nbhd import (
     AgentModel, BinaryConsistent, ConditionVerdict, Conec, Cop, FrameWitness,
-    Group, IntersectionClosed, ModelFormatError, Monotone, Nec,
-    NeighbourhoodMap, PGroup, Reflexive, SearchBounds, UnsupportedModelError,
-    World, WorldSet, check_condition, close_under_intersections,
-    close_under_supersets, fixture, format_condition, parse_condition,
-    random_model,
+    Group, IntersectionClosed, LogicDescriptor, ModelFormatError, Monotone,
+    Nec, NeighbourhoodMap, PGroup, Reflexive, SchemaId, SearchBounds,
+    UnsupportedModelError, World, WorldSet, check_condition,
+    check_schema_semantically, close_under_intersections,
+    close_under_supersets, exhaustive_models, fixture, format_condition,
+    format_schema, parse_condition, random_model, required_constraints,
 )
 from nbhd import PCondition as P
+from nbhd.logics import _AGENT_KINDS, _KINDS
 
 G1, G2, G12 = Group.of(1), Group.of(2), Group.of(1, 2)
 
@@ -240,3 +242,39 @@ def test_parse_condition_errors(text, fragment):
     with pytest.raises(ModelFormatError) as exc:
         parse_condition(text)
     assert fragment in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# Correspondence: each extension schema against the conditions that
+# required_constraints gives it, over every model of the 1-agent space
+# (1-2 worlds, no atoms, pool {1}, all subsets)
+
+# Models valid for the schema but outside the frame class.  Zero means
+# the correspondence is exact.  PG needs only no empty set in N_1, which
+# reflexivity implies; with pool {1} the SA instances are all [1]p -> [1]p.
+_VALID_OUTSIDE_THE_CLASS = {
+    "tg": 0, "rmg": 0, "cg": 0, "di:1": 0, "nec:1": 0, "conec:1": 0,
+    "p:1": 0, "cop:1": 0, "pg": 48, "sa": 194,
+}
+
+
+def test_extension_schemas_correspond_to_their_frame_conditions():
+    bounds = SearchBounds(max_worlds=2, agents=(1,), mode="exhaustive")
+    models = list(exhaustive_models(bounds))
+    assert len(models) == 4 + 256
+    pool = (Group.of(1),)
+    outside = {}
+    for kind in _KINDS:
+        if kind in ("B1", "B2", "B3", "B4"):
+            continue
+        s = SchemaId(kind, 1 if kind in _AGENT_KINDS else None)
+        conditions = required_constraints(LogicDescriptor(frozenset({s})),
+                                          (1,))
+        assert conditions, s
+        outside[format_schema(s)] = 0
+        for m in models:
+            in_class = all(check_condition(m, c).holds for c in conditions)
+            valid = check_schema_semantically(m, s, "all-subsets", pool).valid
+            assert valid or not in_class, (s, m)     # condition => valid
+            outside[format_schema(s)] += valid and not in_class
+    assert outside == _VALID_OUTSIDE_THE_CLASS
