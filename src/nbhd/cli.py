@@ -111,11 +111,11 @@ def _cmd_valid(args):
         target = parse(args.formula)
         target_text = render(target)
     else:
-        pool = _parse_pool(args.pool) if args.pool else None
+        pool = _parse_pool(args.pool) if args.pool is not None else None
         target = SchemaTarget(parse_schema(args.schema), args.sets, pool)
         target_text = format_schema(target.schema)
 
-    if args.agents:
+    if args.agents is not None:
         agents = _parse_agents(args.agents)
     elif isinstance(target, SchemaTarget):
         agents = tuple(sorted({a for g in (target.pool or ()) for a in g}))
@@ -159,7 +159,7 @@ def _cmd_valid(args):
 def _cmd_schema(args):
     m = load_model(args.model)
     s = parse_schema(args.schema)
-    pool = _parse_pool(args.pool) if args.pool else None
+    pool = _parse_pool(args.pool) if args.pool is not None else None
     verdict = check_schema_semantically(m, s, args.mode, pool)
     payload = {"command": "schema", "schema": format_schema(s),
                "mode": args.mode, "valid": verdict.valid,

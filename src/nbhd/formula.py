@@ -367,7 +367,9 @@ def normalize(f: Formula) -> Formula:
     if isinstance(f, Implies):
         return Or(Not(normalize(f.left)), normalize(f.right))
     if isinstance(f, Iff):
-        return normalize(And(Implies(f.left, f.right), Implies(f.right, f.left)))
+        # (a -> b) & (b -> a), with each side normalized once and shared
+        left, right = normalize(f.left), normalize(f.right)
+        return Not(Or(Not(Or(Not(left), right)), Not(Or(Not(right), left))))
     if isinstance(f, Box):
         return Box(f.group, normalize(f.body))
     raise TypeError(f"not a formula: {f!r}")

@@ -117,31 +117,30 @@ class ConditionVerdict:
     note: str | None = None
 
 
-def _subjects(m: Model) -> list[tuple["int | Group", tuple[frozenset[int], ...]]]:
-    """Families quantified over by the agent-generic conditions: every
+def _subjects(m: Model) -> list[tuple["int | Group", NeighbourhoodMap]]:
+    """Maps quantified over by the agent-generic conditions: every
     agent ascending, or on a GeneralModel the stored primitive group
     entries, sorted by size then members."""
     if isinstance(m, AgentModel):
-        return [(a, m.agents[a].families) for a in sorted(m.agents)]
-    return [(g, m.groups[g].families)
-            for g in sorted(m.groups, key=Group.sort_key)]
+        return [(a, m.agents[a]) for a in sorted(m.agents)]
+    return [(g, m.groups[g]) for g in sorted(m.groups, key=Group.sort_key)]
 
 
-def _agent_family(m: Model, agent: int) -> tuple[tuple[frozenset[int], ...], str | None]:
-    """An agent's primitive families plus a note if the agent is absent."""
+def _agent_map(m: Model, agent: int) -> tuple[NeighbourhoodMap, str | None]:
+    """An agent's primitive map plus a note if the agent is absent."""
     if isinstance(m, AgentModel):
         nm = m.agents.get(agent)
         if nm is not None:
-            return nm.families, None
+            return nm, None
         n = len(m.worlds)
-        return (frozenset(),) * n, f"agent {agent} is absent from the model"
-    g = Group.of(agent)
-    nm = m.groups.get(g)
+        return (NeighbourhoodMap(n, (frozenset(),) * n),
+                f"agent {agent} is absent from the model")
+    nm = m.groups.get(Group.of(agent))
     if nm is not None:
-        return nm.families, None
+        return nm, None
     n = len(m.worlds)
-    return (frozenset((0,)),) * n, \
-        f"group {{{agent}}} has no entry; using the default family {{{{}}}}"
+    return (NeighbourhoodMap(n, (frozenset((0,)),) * n),
+            f"group {{{agent}}} has no entry; using the default family {{{{}}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +248,73 @@ def _row(c: FrameCondition) -> _Row:
     return row
 
 
+_HOLDS = ConditionVerdict(True)
+_UNSET = object()
+
+
+def _first_offence(row: _Row, nm: NeighbourhoodMap) -> "list | None":
+    """Where ``row``'s test first fails on ``nm`` (it depends on the
+    families alone): None if nowhere, else ``[world, witness set, worlds,
+    subject, verdict]``, whose last three slots hold the verdict last
+    built from it and what it was built for.  A ``_SharedMap`` keeps it,
+    so it is computed once per row."""
+    memo = nm._memo
+    hit = _UNSET if memo is None else memo.get(row.name, _UNSET)
+    if hit is _UNSET:
+        hit = None
+        full = (1 << nm.size) - 1
+        for w, fam in enumerate(nm.families):
+            bad = row.offending(fam, w, full)
+            if bad is not None:
+                hit = [w, bad, None, None, None]
+                break
+        if memo is not None:
+            memo[row.name] = hit
+    return hit
+
+
 def check_condition(m: Model, c: FrameCondition) -> ConditionVerdict:
     """Check ``c`` on ``m``; on failure report the least witness.
 
     A condition naming an agent the model does not mention is reported
     via ``note``; it holds vacuously when it only restricts members and
     fails when it requires a member to be present.
+
+    A map that many models share (those of exhaustive search) keeps its
+    first offence per condition, so maps must not be mutated after
+    construction.  Verdicts are shared between calls (a condition that
+    holds without a note always returns the same object); they are
+    frozen.
     """
     row = _row(c)
     note = None
     if row.subject == "agent":
-        fams, note = _agent_family(m, c.agent)
-        subjects = ((c.agent, fams),)
+        nm, note = _agent_map(m, c.agent)
+        subjects = ((c.agent, nm),)
     elif row.subject == "group":
-        subjects = ((c.group, group_families(m, c.group)),)
+        fams = group_families(m, c.group)
+        subjects = ((c.group, NeighbourhoodMap(len(fams), fams)),)
     else:
         subjects = _subjects(m)
-    n = len(m.worlds)
-    full = (1 << n) - 1
-    for w in range(n):
-        for subject, fams in subjects:
-            bad = row.offending(fams[w], w, full)
-            if bad is not None:
-                return ConditionVerdict(
-                    False, FrameWitness(m.worlds[w].label, subject,
-                                        WorldSet(bad, n)), note)
-    return ConditionVerdict(True, None, note)
+    # the least world, ties to the first subject, as a world-major search
+    # finds it; no later subject can beat world 0
+    best = None
+    for subject, nm in subjects:
+        hit = _first_offence(row, nm)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best, who = hit, subject
+            if hit[0] == 0:
+                break
+    if best is None:
+        return _HOLDS if note is None else ConditionVerdict(True, None, note)
+    w, bad, built_worlds, built_for, verdict = best
+    if built_for == who and (built_worlds is m.worlds
+                             or built_worlds == m.worlds):
+        return verdict
+    verdict = ConditionVerdict(False, FrameWitness(
+        m.worlds[w].label, who, WorldSet(bad, len(m.worlds))), note)
+    best[2:] = m.worlds, who, verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

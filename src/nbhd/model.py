@@ -138,9 +138,15 @@ class WorldSet:
 
 
 class NeighbourhoodMap:
-    """Per-world families of world sets for one agent or one group."""
+    """Per-world families of world sets for one agent or one group.
+
+    A map must not be mutated after construction: models may share one
+    map (exhaustive search does), and ``nbhd.frames`` keeps each frame
+    condition's result on the families of a ``_SharedMap``.
+    """
 
     __slots__ = ("size", "families")
+    _memo = None  # no results kept
 
     def __init__(self, size: int, families: Iterable[Iterable[int]]):
         fams = tuple(frozenset(fam) for fam in families)
@@ -168,6 +174,18 @@ class NeighbourhoodMap:
         return f"NeighbourhoodMap(size={self.size}, families={self.families!r})"
 
 
+class _SharedMap(NeighbourhoodMap):
+    """A map that many models share, on which ``nbhd.frames`` keeps each
+    frame condition's result in ``_memo``.  Other maps keep nothing: for
+    a map of one model that would cost more than it saves."""
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, size: int, families: Iterable[Iterable[int]]):
+        super().__init__(size, families)
+        self._memo = {}
+
+
 def _check_worlds(worlds: tuple[World, ...]) -> None:
     if not worlds:
         raise ModelFormatError("a model needs at least one world")
@@ -186,6 +204,14 @@ def _check_valuation(valuation: Mapping[str, WorldSet], size: int) -> None:
             raise ModelFormatError(f"valuation of {name!r} has wrong domain size")
 
 
+def _check_agents(agents: Mapping[int, NeighbourhoodMap], size: int) -> None:
+    for agent, nm in agents.items():
+        if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
+            raise ModelFormatError(f"agent ids are non-negative ints, got {agent!r}")
+        if nm.size != size or len(nm.families) != size:
+            raise ModelFormatError(f"neighbourhood map of agent {agent} has wrong size")
+
+
 @dataclass(frozen=True)
 class AgentModel:
     """Neighbourhood model with agent-indexed primitive families."""
@@ -199,11 +225,19 @@ class AgentModel:
         _check_worlds(self.worlds)
         n = len(self.worlds)
         _check_valuation(self.valuation, n)
-        for agent, nm in self.agents.items():
-            if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
-                raise ModelFormatError(f"agent ids are non-negative ints, got {agent!r}")
-            if nm.size != n or len(nm.families) != n:
-                raise ModelFormatError(f"neighbourhood map of agent {agent} has wrong size")
+        _check_agents(self.agents, n)
+
+
+def _agent_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
+                 agents: Mapping[int, NeighbourhoodMap]) -> AgentModel:
+    """``AgentModel(worlds, valuation, agents)`` for a caller that has
+    already run ``_check_worlds`` and ``_check_valuation`` on these
+    worlds and valuation; only the agent mapping is checked here."""
+    _check_agents(agents, len(worlds))
+    m = object.__new__(AgentModel)
+    vars(m).update(worlds=worlds, valuation=valuation, agents=agents,
+                   _group_cache={})
+    return m
 
 
 @dataclass(frozen=True)

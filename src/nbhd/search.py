@@ -30,8 +30,9 @@ from .logics import (
     counterexample_to_dict, format_schema,
 )
 from .model import (
-    AgentModel, NeighbourhoodMap, World, WorldSet, _state_cap,
-    model_to_dict, truth_set, unions_up_to,
+    AgentModel, NeighbourhoodMap, World, WorldSet, _SharedMap, _agent_model,
+    _check_valuation, _check_worlds, _state_cap, model_to_dict, truth_set,
+    unions_up_to,
 )
 
 __all__ = [
@@ -250,32 +251,40 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     counts toward a visit cap of 1 048 640 models, the size of the
     largest space the bounds admit, whether or not a constraint filters
     it out; NBHD_MAX_STATES may lower that cap.  Yielded models may
-    share their per-agent NeighbourhoodMap objects.
+    share their per-agent NeighbourhoodMap objects, which then keep the
+    results of ``check_condition`` on them.  The worlds are checked once
+    per domain size and each valuation once, so a candidate only has its
+    agent mapping checked.
     """
     if bounds.mode != "exhaustive":
         raise ValueError("exhaustive_models needs bounds in exhaustive mode")
     cap = _state_cap(_EXHAUSTIVE_LIMIT)
     visited = 0
+    # with several agents or any atom, each map serves many candidates
+    new_map = (_SharedMap if len(bounds.agents) > 1 or bounds.atoms
+               else NeighbourhoodMap)
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(World(i, f"w{i}") for i in range(n))
+        _check_worlds(worlds)
         n_sets = 1 << n
         # one map per tuple of per-world family codes, first world slowest
         fams = [frozenset(s for s in range(n_sets) if (code >> s) & 1)
                 for code in range(1 << n_sets)]
-        maps = [NeighbourhoodMap(n, per_world)
+        maps = [new_map(n, per_world)
                 for per_world in itertools.product(fams, repeat=n)]
         for vcodes in itertools.product(range(n_sets),
                                         repeat=len(bounds.atoms)):
             valuation = {atom: WorldSet(bits, n)
                          for atom, bits in zip(bounds.atoms, vcodes)}
+            _check_valuation(valuation, n)
             for chosen in itertools.product(maps, repeat=len(bounds.agents)):
                 visited += 1
                 if visited > cap:
                     raise ResourceLimitError(
                         f"exhaustive search visited more than {cap} models "
                         "(NBHD_MAX_STATES)")
-                model = AgentModel(worlds, valuation,
-                                   dict(zip(bounds.agents, chosen)))
+                model = _agent_model(worlds, valuation,
+                                     dict(zip(bounds.agents, chosen)))
                 if all(check_condition(model, c).holds
                        for c in bounds.frame_constraints):
                     yield model

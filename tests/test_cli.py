@@ -164,6 +164,19 @@ def test_valid_bad_agent_ids(capsys, argv, message):
     assert (code, out, err) == (2, [], f"error: {message}\n")
 
 
+# An empty value is an empty list, not a missing option: it must not
+# fall back to the default pool or agents.
+@pytest.mark.parametrize("argv,message", [
+    (("--schema", "b2", "--pool", ""), "empty group pool ''"),
+    (("--schema", "b2", "--pool", " "), "empty group pool ' '"),
+    (("--formula", "p", "--agents", ""), "agents must be distinct and nonempty"),
+    (("--formula", "p", "--agents", ","), "agents must be distinct and nonempty"),
+])
+def test_valid_empty_pool_or_agents(capsys, argv, message):
+    code, out, err = run(capsys, "valid", *argv)
+    assert (code, out, err) == (2, [], f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # schema
 
@@ -197,6 +210,13 @@ def test_schema_json(capsys, nr):
     payload = json.loads("\n".join(out))
     assert payload["valid"] is True
     assert payload["note"].startswith("holds over the 2 definable sets")
+
+
+@pytest.mark.parametrize("pool", ["", " ", ";"])
+def test_schema_empty_pool(capsys, m1, pool):
+    code, out, err = run(capsys, "schema", "--model", m1, "--schema", "b2",
+                         "--pool", pool)
+    assert (code, out, err) == (2, [], f"error: empty group pool {pool!r}\n")
 
 
 def test_schema_unknown_name(capsys, m1):

@@ -42,13 +42,23 @@ that the condition table in ``nbhd.frames`` replaced.  The tests require
 the same ``ConditionVerdict`` (holds, witness and note) for every kind
 of condition, including absent agents and groups, the same repaired
 model or ``ConstraintError`` message from every combination of up to
-three constraints, and the same names and required constraints.
+three constraints, and the same names and required constraints.  Since
+``check_condition`` keeps results on maps that models share
+(``_SharedMap``), the verdicts are also compared on every 13th model of
+the 2-agent, 2-world space, whose models share maps, and on maps shared
+by models with other world labels and other agents.
+
+``normalize_reference`` is a verbatim copy of the ``normalize`` that
+normalized both copies of each side of an ``<->``.  The test requires
+the same formula, and a 30-deep chain of ``<->`` must normalize at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import signal
 import string
+from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
@@ -64,14 +74,16 @@ from nbhd import (
     World, WorldSet, builtin_certificate, check_condition,
     check_schema_semantically, default_group_pool, exhaustive_models,
     format_condition, format_schema, group_families, instantiate_schema,
-    match_schema, parse, proof_from_dict, random_model, required_constraints,
+    match_schema, normalize, parse, proof_from_dict, random_model,
+    required_constraints,
 )
 import nbhd.formula
 from nbhd.frames import P
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
-from nbhd.model import Model, _state_cap
+from nbhd.model import Model, _SharedMap, _state_cap
 from nbhd.search import _EXHAUSTIVE_LIMIT
 from test_acceptance import _MUTATIONS
+from test_formula import _FORMULAS
 
 
 # ---------------------------------------------------------------------------
@@ -1071,6 +1083,94 @@ def test_tokenizer_fixes_the_bare_value_error():
 
 
 # ---------------------------------------------------------------------------
+# Normal-form oracle: normalize against the reference (copied verbatim,
+# renamed), which normalized both copies of each side of an <->
+
+
+def normalize_reference(f: Formula) -> Formula:
+    """Rewrite into the primitive basis {false, atoms, ~, |, boxes}.
+
+    Total and idempotent; the result has the same truth set on every
+    model as the input.
+    """
+    if isinstance(f, (Bottom, Atom)):
+        return f
+    if isinstance(f, Top):
+        return Not(Bottom())
+    if isinstance(f, Not):
+        return Not(normalize_reference(f.body))
+    if isinstance(f, Or):
+        return Or(normalize_reference(f.left), normalize_reference(f.right))
+    if isinstance(f, And):
+        return Not(Or(Not(normalize_reference(f.left)), Not(normalize_reference(f.right))))
+    if isinstance(f, Implies):
+        return Or(Not(normalize_reference(f.left)), normalize_reference(f.right))
+    if isinstance(f, Iff):
+        return normalize_reference(And(Implies(f.left, f.right), Implies(f.right, f.left)))
+    if isinstance(f, Box):
+        return Box(f.group, normalize_reference(f.body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _iff_chain(depth: int) -> Formula:
+    """``((p0 <-> [1]p1) <-> [1]p2) ...`` with ``depth`` connectives."""
+    f: Formula = Atom("p0")
+    for i in range(1, depth + 1):
+        f = Iff(f, Box(Group.of(1), Atom(f"p{i}")))
+    return f
+
+
+@given(_FORMULAS)
+def test_normalize_matches_reference(f):
+    assert normalize(f) == normalize_reference(f)
+
+
+def test_normalize_matches_reference_on_iff_chains():
+    for depth in range(9):
+        f = _iff_chain(depth)
+        assert normalize(f) == normalize_reference(f), depth
+        g = Iff(Iff(Atom("q"), f), f)  # nested on both sides
+        assert normalize(g) == normalize_reference(g), depth
+
+
+def _distinct_nodes(f: Formula) -> int:
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, k) for k in ("left", "right", "body")
+                         if hasattr(node, k))
+    return len(seen)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError
+
+
+def test_normalize_is_linear_on_a_30_deep_iff_chain():
+    # The reference doubles its work per level: 16 levels took seconds,
+    # so 30 would not finish; the alarm turns that into a failure.
+    f = _iff_chain(30)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = perf_counter()
+        g = normalize(f)
+        elapsed = perf_counter() - start
+    except TimeoutError:
+        elapsed = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if elapsed is None:
+        pytest.fail("normalize took more than 5 s", pytrace=False)
+    assert elapsed < 0.5
+    # each side is normalized once and shared by both of its copies
+    assert _distinct_nodes(g) <= 10 * 31
+
+
+# ---------------------------------------------------------------------------
 # Reference frame conditions and repair (copied verbatim, renamed)
 
 
@@ -1409,6 +1509,71 @@ def test_conditions_match_reference_on_the_one_agent_space():
     assert len(models) == 4 + 256
     for m in models:
         _assert_same_verdicts(m, conditions)
+
+
+# 13 is prime to the 16 codes of a world's slot, so the sample meets
+# every code of every slot, and agent 2's slot with agent 1's in many
+# combinations; ties at the least world between the two agents abound.
+_STRIDE = 13
+
+
+def test_conditions_match_reference_on_the_two_agent_space():
+    # Agent 0 and groups naming it are absent.  Models share their maps,
+    # so later candidates read what earlier ones left on them.
+    conditions = _conditions((0, 1, 2), (Group.of(1), Group.of(2),
+                                         Group.of(1, 2), Group.of(0, 1)))
+    bounds = SearchBounds(max_worlds=2, agents=(1, 2), mode="exhaustive")
+    models = itertools.islice(exhaustive_models(bounds), 0, None, _STRIDE)
+    seen = 0
+    for m in models:
+        _assert_same_verdicts(m, conditions)
+        seen += 1
+    assert seen == -(-(16 + 65_536) // _STRIDE)
+
+
+def _shared(m):
+    """``m`` with its maps rebuilt as maps that keep condition results."""
+    if isinstance(m, GeneralModel):
+        return GeneralModel(m.worlds, m.valuation, {
+            g: _SharedMap(nm.size, nm.families) for g, nm in m.groups.items()})
+    return AgentModel(m.worlds, m.valuation, {
+        a: _SharedMap(nm.size, nm.families) for a, nm in m.agents.items()})
+
+
+def _relabelled(m, labels):
+    worlds = tuple(World(i, label) for i, label in enumerate(labels))
+    if isinstance(m, GeneralModel):
+        return GeneralModel(worlds, m.valuation, m.groups)
+    return AgentModel(worlds, m.valuation, m.agents)
+
+
+def test_shared_map_keeps_no_label_or_subject():
+    # One map, as agent 1 of one model and as agents 1 and 2 of models
+    # whose worlds carry other labels; and as a group of a GeneralModel.
+    nm = _SharedMap(2, [{1, 2}, {0, 3}])
+    worlds = (World(0, "a"), World(1, "b"))
+    first = AgentModel(worlds, {}, {1: nm})
+    both = AgentModel((World(0, "x"), World(1, "y")), {}, {2: nm, 1: nm})
+    same = AgentModel((World(0, "a"), World(1, "b")), {}, {1: nm})
+    general = GeneralModel(worlds, {}, {Group.of(2): nm})
+    conditions = _conditions((1, 2), (Group.of(1), Group.of(2)))
+    for m in (first, both, same, general, first, both, general):
+        _assert_same_verdicts(m, conditions)
+    assert check_condition(both, Reflexive()).witness == FrameWitness(
+        "x", 1, WorldSet(2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_conditions_match_reference_on_shared_maps(case):
+    # The same maps in models with other world labels, checked in turn:
+    # absent agents, absent group entries and GeneralModels included.
+    n, general, families, valuation, pool, _ = case
+    m = _shared(_build(n, general, families, valuation))
+    other = _relabelled(m, [f"v{i}" for i in range(n)])
+    conditions = _conditions(range(5), pool)
+    for model in (m, other, m):
+        _assert_same_verdicts(model, conditions)
 
 
 @settings(max_examples=300, deadline=None)

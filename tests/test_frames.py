@@ -1,5 +1,8 @@
 """Frame conditions, their witnesses, and the two closure operators."""
 
+import gc
+import sys
+
 import pytest
 
 from nbhd import (
@@ -278,3 +281,48 @@ def test_extension_schemas_correspond_to_their_frame_conditions():
             assert valid or not in_class, (s, m)     # condition => valid
             outside[format_schema(s)] += valid and not in_class
     assert outside == _VALID_OUTSIDE_THE_CLASS
+
+
+# ---------------------------------------------------------------------------
+# Where check_condition keeps its results
+
+
+def _package_state():
+    """Sizes of the package's module-level containers and caches."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name != "nbhd" and not name.startswith("nbhd."):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[name, attr] = value.cache_info().currsize
+    return sizes
+
+
+def _live_maps():
+    gc.collect()
+    return sum(isinstance(o, NeighbourhoodMap) for o in gc.get_objects())
+
+
+def test_condition_results_die_with_their_maps():
+    conditions = [Reflexive(), BinaryConsistent(), Monotone(),
+                  IntersectionClosed(), Nec(1), Conec(2), P(1), Cop(2),
+                  Nec(3), PGroup(G12)]
+    bounds = SearchBounds(max_worlds=3, agents=(1, 2), atoms=("p",),
+                          seed=4099)
+    before, maps = _package_state(), _live_maps()
+    failed = 0
+    for draw in range(10_000):
+        m = random_model(bounds, draw)
+        failed += sum(not check_condition(m, c).holds for c in conditions)
+    # Exhaustive search shares its maps, and they keep their results.
+    shared = SearchBounds(max_worlds=2, agents=(1,), atoms=("p",),
+                          mode="exhaustive", frame_constraints=conditions[:4])
+    for m in exhaustive_models(shared):
+        assert m.agents[1]._memo
+    del m
+    assert failed > 10_000
+    assert _package_state() == before
+    assert _live_maps() <= maps
