@@ -117,30 +117,36 @@ class ConditionVerdict:
     note: str | None = None
 
 
-def _subjects(m: Model) -> list[tuple["int | Group", NeighbourhoodMap]]:
-    """Maps quantified over by the agent-generic conditions: every
-    agent ascending, or on a GeneralModel the stored primitive group
-    entries, sorted by size then members."""
+_Families = tuple[frozenset[int], ...]  # one per world
+
+
+def _subjects(m: Model) -> list[tuple["int | Group", _Families, "dict | None"]]:
+    """Families quantified over by the agent-generic conditions, with
+    their map's memo: every agent ascending, or on a GeneralModel the
+    stored primitive group entries, sorted by size then members."""
     if isinstance(m, AgentModel):
-        return [(a, m.agents[a]) for a in sorted(m.agents)]
-    return [(g, m.groups[g]) for g in sorted(m.groups, key=Group.sort_key)]
+        return [(a, m.agents[a].families, m.agents[a]._memo)
+                for a in sorted(m.agents)]
+    return [(g, m.groups[g].families, m.groups[g]._memo)
+            for g in sorted(m.groups, key=Group.sort_key)]
 
 
-def _agent_map(m: Model, agent: int) -> tuple[NeighbourhoodMap, str | None]:
-    """An agent's primitive map plus a note if the agent is absent."""
+def _agent_family(m: Model, agent: int
+                  ) -> tuple[_Families, "dict | None", str | None]:
+    """An agent's primitive families, their map's memo, and a note if
+    the agent is absent."""
     if isinstance(m, AgentModel):
         nm = m.agents.get(agent)
         if nm is not None:
-            return nm, None
+            return nm.families, nm._memo, None
         n = len(m.worlds)
-        return (NeighbourhoodMap(n, (frozenset(),) * n),
-                f"agent {agent} is absent from the model")
+        return (frozenset(),) * n, None, f"agent {agent} is absent from the model"
     nm = m.groups.get(Group.of(agent))
     if nm is not None:
-        return nm, None
+        return nm.families, nm._memo, None
     n = len(m.worlds)
-    return (NeighbourhoodMap(n, (frozenset((0,)),) * n),
-            f"group {{{agent}}} has no entry; using the default family {{{{}}}}")
+    return (frozenset((0,)),) * n, None, \
+        f"group {{{agent}}} has no entry; using the default family {{{{}}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +258,18 @@ _HOLDS = ConditionVerdict(True)
 _UNSET = object()
 
 
-def _first_offence(row: _Row, nm: NeighbourhoodMap) -> "list | None":
-    """Where ``row``'s test first fails on ``nm`` (it depends on the
-    families alone): None if nowhere, else ``[world, witness set, worlds,
-    subject, verdict]``, whose last three slots hold the verdict last
-    built from it and what it was built for.  A ``_SharedMap`` keeps it,
-    so it is computed once per row."""
-    memo = nm._memo
+def _first_offence(row: _Row, fams: _Families, memo: "dict | None"
+                   ) -> "list | None":
+    """Where ``row``'s test first fails on ``fams``: None if nowhere,
+    else ``[world, witness set, worlds, subject, verdict]``, whose last
+    three slots hold the verdict last built from it and what it was
+    built for.  ``memo`` is the ``_memo`` of a ``_SharedMap`` holding
+    ``fams``, which keeps the result per row, or None."""
     hit = _UNSET if memo is None else memo.get(row.name, _UNSET)
     if hit is _UNSET:
         hit = None
-        full = (1 << nm.size) - 1
-        for w, fam in enumerate(nm.families):
+        full = (1 << len(fams)) - 1
+        for w, fam in enumerate(fams):
             bad = row.offending(fam, w, full)
             if bad is not None:
                 hit = [w, bad, None, None, None]
@@ -289,18 +295,17 @@ def check_condition(m: Model, c: FrameCondition) -> ConditionVerdict:
     row = _row(c)
     note = None
     if row.subject == "agent":
-        nm, note = _agent_map(m, c.agent)
-        subjects = ((c.agent, nm),)
+        fams, memo, note = _agent_family(m, c.agent)
+        subjects = ((c.agent, fams, memo),)
     elif row.subject == "group":
-        fams = group_families(m, c.group)
-        subjects = ((c.group, NeighbourhoodMap(len(fams), fams)),)
+        subjects = ((c.group, group_families(m, c.group), None),)
     else:
         subjects = _subjects(m)
     # the least world, ties to the first subject, as a world-major search
     # finds it; no later subject can beat world 0
     best = None
-    for subject, nm in subjects:
-        hit = _first_offence(row, nm)
+    for subject, fams, memo in subjects:
+        hit = _first_offence(row, fams, memo)
         if hit is not None and (best is None or hit[0] < best[0]):
             best, who = hit, subject
             if hit[0] == 0:

@@ -10,6 +10,7 @@ from nbhd import (
     model_to_dict, normalize, parse, random_model, render, satisfies,
     truth_set, unions_up_to, valid_on_model, world_index,
 )
+from nbhd.model import _agent_model
 
 G1, G2, G12 = Group.of(1), Group.of(2), Group.of(1, 2)
 
@@ -107,6 +108,25 @@ def test_agent_model_rejects_bad_agent_ids(agent):
     nm = NeighbourhoodMap(1, [set()])
     with pytest.raises(ModelFormatError, match="non-negative ints"):
         AgentModel((World(0, "w"),), {}, {agent: nm})
+
+
+def test_private_constructor_builds_the_same_model():
+    # exhaustive search builds its candidates with _agent_model: it must
+    # set every field AgentModel sets and still check the agent mapping
+    worlds = (World(0, "u"), World(1, "v"))
+    valuation = {"p": WorldSet(1, 2)}
+    agents = {1: NeighbourhoodMap(2, [{1}, {3}]),
+              2: NeighbourhoodMap(2, [set(), {0}])}
+    built = _agent_model(worlds, valuation, agents)
+    direct = AgentModel(worlds, valuation, agents)
+    assert type(built) is AgentModel
+    assert built == direct and vars(built) == vars(direct)
+    assert built._group_cache is not _agent_model(worlds, valuation,
+                                                  agents)._group_cache
+    with pytest.raises(ModelFormatError, match="wrong size"):
+        _agent_model(worlds, valuation, {1: NeighbourhoodMap(1, [set()])})
+    with pytest.raises(ModelFormatError, match="non-negative ints"):
+        _agent_model(worlds, valuation, {-1: agents[1]})
 
 
 def test_absent_agent_has_empty_family():
