@@ -21,7 +21,7 @@ GeneralModel is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .errors import ModelFormatError, UnsupportedModelError
 from .formula import Group
@@ -88,10 +88,8 @@ class IntersectionClosed:
     """Families are closed under binary (hence finite) intersections."""
 
 
-FrameCondition = Union[
-    Nec, Conec, P, Cop, PGroup, Reflexive, BinaryConsistent, Monotone,
-    IntersectionClosed,
-]
+FrameCondition = (Nec | Conec | P | Cop | PGroup | Reflexive
+                  | BinaryConsistent | Monotone | IntersectionClosed)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 from importlib.resources import files as _package_files
 from itertools import product
 from operator import or_
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ProofFormatError, ResourceLimitError
 from .formula import (
@@ -626,7 +626,7 @@ class RE:
     group: Group
 
 
-Justification = Union[Taut, AxiomRef, MP, RE]
+Justification = Taut | AxiomRef | MP | RE
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     ModelFormatError,
@@ -265,7 +265,9 @@ class GeneralModel:
                 raise ModelFormatError(f"neighbourhood map of group {g} has wrong size")
 
 
-Model = Union[AgentModel, GeneralModel]
+# ``|`` rather than typing.Union, whose cache would keep these classes,
+# and with them this module, alive after the package is unloaded
+Model = AgentModel | GeneralModel
 
 
 def world_index(m: Model, ref: "World | int | str") -> int:

@@ -1,5 +1,9 @@
 """Models: world sets, derived group families, truth, definable sets, JSON."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from nbhd import (
@@ -377,3 +381,27 @@ def test_round_trip_random_models(tmp_path):
         path = tmp_path / f"m{draw}.json"
         save_model(m, str(path))
         assert load_model(str(path)) == m
+
+
+def test_unloaded_package_is_freed():
+    # a re-imported package must not keep its old classes, and with them
+    # every old module, alive (a typing.Union alias did, in its cache)
+    import nbhd
+    src = os.path.dirname(os.path.dirname(nbhd.__file__))
+    probe = """
+import gc, sys
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split(".")[0] == "nbhd"]:
+        del sys.modules[name]
+    import nbhd
+    nbhd.check_condition(nbhd.fixture("M1"), nbhd.Reflexive())
+gc.collect()
+classes = [o for o in gc.get_objects() if isinstance(o, type)]
+print([sum(c.__module__ == m and c.__name__ == name for c in classes)
+       for m, name in (("nbhd.model", "AgentModel"), ("nbhd.frames", "Nec"),
+                       ("nbhd.logics", "MP"))])
+"""
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[1, 1, 1]\n"
