@@ -9,8 +9,8 @@ countermodels.
 """
 
 from .errors import (
-    ConstraintError, FormulaSyntaxError, ModelFormatError, NbhdError,
-    ProofFormatError, ResourceLimitError, UnknownWorldError,
+    ConstraintError, FormulaSyntaxError, InputError, ModelFormatError,
+    NbhdError, ProofFormatError, ResourceLimitError, UnknownWorldError,
     UnsupportedModelError,
 )
 from .formula import (

@@ -25,8 +25,10 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import NbhdError
-from .formula import Group, formula_agents, formula_atoms, parse, render
+from .errors import InputError, NbhdError
+from .formula import (
+    Group, formula_agents, formula_atoms, parse, read_agents, render,
+)
 from .frames import (
     check_condition, close_under_intersections, close_under_supersets,
     format_condition, parse_condition,
@@ -47,30 +49,15 @@ from .search import (
 __all__ = ["main"]
 
 
-def _agent_ids(parts: Sequence[str], option: str) -> tuple[int, ...]:
-    ids = []
-    for part in parts:
-        try:
-            ids.append(int(part))
-        except ValueError:
-            raise ValueError(f"{option} needs comma-separated agent ids, "
-                             f"got {part.strip()!r}") from None
-    return tuple(ids)
-
-
-def _parse_agents(text: str) -> tuple[int, ...]:
-    return _agent_ids([p for p in text.split(",") if p.strip()], "--agents")
-
-
 def _parse_atoms(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_pool(text: str) -> tuple[Group, ...]:
-    groups = tuple(Group(_agent_ids(part.split(","), "--pool"))
+    groups = tuple(Group(read_agents(part, "--pool"))
                    for part in text.split(";") if part.strip())
     if not groups:
-        raise ValueError(f"empty group pool {text!r}")
+        raise InputError(f"empty group pool {text!r}")
     return groups
 
 
@@ -116,7 +103,8 @@ def _cmd_valid(args):
         target_text = format_schema(target.schema)
 
     if args.agents is not None:
-        agents = _parse_agents(args.agents)
+        agents = tuple(a for part in args.agents.split(",") if part.strip()
+                       for a in read_agents(part, "--agents"))
     elif isinstance(target, SchemaTarget):
         agents = tuple(sorted({a for g in (target.pool or ()) for a in g}))
         agents = agents or (1, 2)
@@ -153,7 +141,7 @@ def _cmd_valid(args):
     else:
         payload["index"] = result.index
     return 1, [f"countermodel found at {where}: {witness_text}",
-               "model: " + json.dumps(model_to_dict(m), sort_keys=True)], payload
+               "model: " + json.dumps(payload["model"], sort_keys=True)], payload
 
 
 def _cmd_schema(args):
@@ -450,7 +438,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, lines, payload = args.run(args)
-    except (NbhdError, ValueError) as exc:
+    except NbhdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from :class:`NbhdError`, so callers
-(FOR instance the command line front end) can distinguish bad input from
-genuine bugs with a single except clause.
+(for instance the command line front end) can distinguish bad input from
+genuine bugs with one except clause; :class:`InputError` is a ValueError too.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 
 class NbhdError(Exception):
     """Base class for all errors this package raises deliberately."""
+
+
+class InputError(NbhdError, ValueError):
+    """An argument or input text is malformed or out of range."""
 
 
 class FormulaSyntaxError(NbhdError):

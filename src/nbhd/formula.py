@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import FormulaSyntaxError, ResourceLimitError
+from .errors import FormulaSyntaxError, InputError, ResourceLimitError
 
 __all__ = [
     "Group", "Formula", "Bottom", "Top", "Atom", "Not", "Or", "And",
@@ -40,12 +40,14 @@ class Group:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for a in self.members:  # before sorting, which needs ints
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise InputError(f"agent ids are non-negative integers, got {a!r}")
         ms = tuple(sorted(set(self.members)))
         if not ms:
-            raise ValueError("a group needs at least one agent")
-        for a in ms:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-                raise ValueError(f"agent ids are non-negative integers, got {a!r}")
+            raise InputError("a group needs at least one agent")
+        if ms[0] < 0:
+            raise InputError(f"agent ids are non-negative integers, got {ms[0]!r}")
         object.__setattr__(self, "members", ms)
 
     @classmethod
@@ -83,6 +85,30 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({{{self}}})"
+
+
+def read_agent(text: str, what: str) -> int:
+    """The agent id written in ``text``: a run of decimal digits
+    (``str.isdecimal``, as inside a formula's ``[1,2]``), with whitespace
+    around it allowed.  Otherwise raises InputError saying that ``what``
+    needs an agent id.  Every agent id read from text is read here."""
+    digits = text.strip() if isinstance(text, str) else ""
+    if digits.isdecimal() and len(digits) <= 4300:  # int()'s default cap
+        return int(digits)
+    raise InputError(f"{what} needs an agent id, got {text!r}")
+
+
+def read_agents(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated agent ids in ``text``, each as :func:`read_agent`
+    reads it; an InputError names the first part that is none."""
+    ids = []
+    for part in text.split(","):
+        try:
+            ids.append(read_agent(part, what))
+        except InputError:
+            raise InputError(f"{what} needs comma-separated agent ids, "
+                             f"got {part.strip()!r}") from None
+    return tuple(ids)
 
 
 class Formula:
@@ -291,9 +317,9 @@ class _Parser:
 
     def agent(self) -> int:
         _, value, pos = self.expect("nat", "an agent id")
-        try:  # "²" is a digit but no decimal; int() also caps the length
-            return int(value)
-        except ValueError:
+        try:  # "²" is a digit but no decimal
+            return read_agent(value, "a group")
+        except InputError:
             raise FormulaSyntaxError("expected an agent id", pos) from None
 
 

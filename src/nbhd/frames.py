@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import ModelFormatError, UnsupportedModelError
-from .formula import Group
+from .errors import InputError, ModelFormatError, UnsupportedModelError
+from .formula import Group, read_agent, read_agents
 from .model import (
     AgentModel, Model, NeighbourhoodMap, WorldSet, group_families,
 )
@@ -363,19 +363,12 @@ def parse_condition(text: str) -> FrameCondition:
         if sep:
             raise ModelFormatError(f"condition {name!r} takes no argument")
         return row.cls()
-    if row.subject == "agent":
-        try:
-            agent = int(arg)
-        except ValueError:
-            agent = None
-        if agent is None or agent < 0:
-            raise ModelFormatError(
-                f"condition {name!r} needs an agent id, got {arg!r}")
-        return row.cls(agent)
     try:
-        return row.cls(Group(tuple(int(p) for p in arg.split(","))))
-    except ValueError as exc:
-        raise ModelFormatError(f"bad group in {text!r}: {exc}") from None
+        if row.subject == "agent":
+            return row.cls(read_agent(arg, f"condition {name!r}"))
+        return row.cls(Group(read_agents(arg, f"bad group in {text!r}:")))
+    except InputError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def format_condition(c: FrameCondition) -> str:

@@ -37,10 +37,10 @@ from itertools import product
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ProofFormatError, ResourceLimitError
+from .errors import InputError, ProofFormatError, ResourceLimitError
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
-    is_propositional_tautology, parse, render,
+    is_propositional_tautology, parse, read_agent, render,
 )
 from .model import (
     Model, WorldSet, _state_cap, default_group_pool, definable_sets,
@@ -137,13 +137,13 @@ class SchemaId:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown schema kind {self.kind!r}")
+            raise InputError(f"unknown schema kind {self.kind!r}")
         if (self.kind in _AGENT_KINDS) != (self.agent is not None):
-            raise ValueError(f"schema {self.kind} "
+            raise InputError(f"schema {self.kind} "
                              + ("needs an agent" if self.kind in _AGENT_KINDS
                                 else "takes no agent"))
         if self.agent is not None and self.agent < 0:
-            raise ValueError("agent ids are non-negative")
+            raise InputError("agent ids are non-negative")
 
     def __str__(self) -> str:
         return format_schema(self)
@@ -185,18 +185,13 @@ def parse_schema(text: str) -> SchemaId:
     name, sep, arg = text.strip().partition(":")
     kind = name.upper()
     if kind not in _KINDS:
-        raise ValueError(f"unknown schema {text!r}")
+        raise InputError(f"unknown schema {text!r}")
     if kind in _AGENT_KINDS:
         if not sep:
-            raise ValueError(f"schema {name!r} needs an agent, like {name}:1")
-        try:
-            agent = int(arg)
-        except ValueError:
-            raise ValueError(f"schema {name!r} needs an agent id, "
-                             f"got {arg!r}") from None
-        return SchemaId(kind, agent)
+            raise InputError(f"schema {name!r} needs an agent, like {name}:1")
+        return SchemaId(kind, read_agent(arg, f"schema {name!r}"))
     if sep:
-        raise ValueError(f"schema {name!r} takes no agent")
+        raise InputError(f"schema {name!r} takes no agent")
     return SchemaId(kind)
 
 
@@ -221,7 +216,7 @@ class LogicDescriptor:
         exts = frozenset(self.extensions)
         for s in exts:
             if s.kind in _BASE_KINDS:
-                raise ValueError(f"{format_schema(s)} is part of the base, "
+                raise InputError(f"{format_schema(s)} is part of the base, "
                                  "not an extension")
         if self.replace_b1_with_cg:
             exts |= {CG}
@@ -242,11 +237,11 @@ def logic_from_dict(data: object) -> LogicDescriptor:
     if not isinstance(data, dict):
         raise ProofFormatError("'logic' must be a mapping")
     raw = data.get("extensions", [])
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise ProofFormatError("'extensions' must be a list of schema names")
     try:
         exts = frozenset(parse_schema(s) for s in raw)
-    except ValueError as exc:
+    except InputError as exc:
         raise ProofFormatError(str(exc)) from exc
     return LogicDescriptor(exts, bool(data.get("cg", False)))
 
@@ -289,14 +284,14 @@ def instantiate_schema(s: SchemaId,
     group_vars, set_vars = _GROUP_VARS[s.kind], _SET_VARS[s.kind]
     expected = set(group_vars) | set(set_vars)
     if set(binding) != expected:
-        raise ValueError(f"schema {format_schema(s)} needs exactly "
+        raise InputError(f"schema {format_schema(s)} needs exactly "
                          f"{sorted(expected)}, got {sorted(binding)}")
     for names, cls in ((group_vars, Group), (set_vars, Formula)):
         for var in names:
             if not isinstance(binding[var], cls):
-                raise ValueError(f"{var} must be a {cls.__name__}")
+                raise InputError(f"{var} must be a {cls.__name__}")
     if s.kind == "B1" and not binding["G"].isdisjoint(binding["H"]):
-        raise ValueError("B1 needs disjoint groups G and H")
+        raise InputError("B1 needs disjoint groups G and H")
     if s.agent is not None:
         binding = {**binding, "A": Group.of(s.agent)}
     return _substitute(_PATTERNS[s.kind], binding)
@@ -563,7 +558,7 @@ def _set_range(m: Model, mode: str, pool: tuple[Group, ...]
     if mode == "definable-only":
         bits = [ws.bits for ws in definable_sets(m, pool)]
         return bits, len(bits) == (1 << n)
-    raise ValueError(f"unknown mode {mode!r}; "
+    raise InputError(f"unknown mode {mode!r}; "
                      "use 'all-subsets' or 'definable-only'")
 
 
@@ -584,7 +579,7 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
     pool = (tuple(group_pool) if group_pool is not None
             else default_group_pool(m))
     if not pool:
-        raise ValueError("the group pool must be nonempty")
+        raise InputError("the group pool must be nonempty")
     rng, full_range = _set_range(m, mode, pool)
     cx = _find_counterexample(m, s, pool, rng, full_range)
     note = None
@@ -678,7 +673,7 @@ def check_proof(p: Proof, l: LogicDescriptor) -> ProofVerdict:
             if j.binding is not None:
                 try:
                     expected = instantiate_schema(j.schema, dict(j.binding))
-                except ValueError as exc:
+                except InputError as exc:
                     return ProofVerdict(False, idx, str(exc))
                 if expected != line.formula:
                     return ProofVerdict(
@@ -772,6 +767,38 @@ def _binding_from_dict(raw: object, where: str
     return tuple(out)
 
 
+def _line_from_dict(raw: object, where: str) -> ProofLine:
+    if not isinstance(raw, dict) or not isinstance(raw.get("formula"), str) \
+            or "just" not in raw:
+        raise ProofFormatError(f"{where}: need 'formula' and 'just'")
+    formula = parse(raw["formula"])
+    just = raw["just"]
+    if not isinstance(just, dict) or "type" not in just:
+        raise ProofFormatError(f"{where}: 'just' needs a 'type'")
+    kind = just["type"]
+    if kind == "taut":
+        return ProofLine(formula, Taut())
+    if kind == "axiom":
+        if not isinstance(just.get("schema"), str):
+            raise ProofFormatError(f"{where}: axiom needs a 'schema'")
+        schema = parse_schema(just["schema"])
+        binding = (_binding_from_dict(just["binding"], where)
+                   if "binding" in just else None)
+        return ProofLine(formula, AxiomRef(schema, binding))
+    if kind == "mp":
+        refs = just.get("from")
+        if (not isinstance(refs, list) or len(refs) != 2
+                or not all(isinstance(r, int) for r in refs)):
+            raise ProofFormatError(f"{where}: mp needs 'from': [i, j]")
+        return ProofLine(formula, MP(refs[0], refs[1]))
+    if kind == "re":
+        if not isinstance(just.get("from"), int) \
+                or not isinstance(just.get("group"), list):
+            raise ProofFormatError(f"{where}: re needs 'from' and 'group'")
+        return ProofLine(formula, RE(just["from"], Group(tuple(just["group"]))))
+    raise ProofFormatError(f"{where}: unknown justification {kind!r}")
+
+
 def proof_from_dict(data: object) -> ProofFile:
     """Read the proof file format; see the package README for the schema."""
     if not isinstance(data, dict):
@@ -782,48 +809,20 @@ def proof_from_dict(data: object) -> ProofFile:
         raise ProofFormatError("'lines' must be a nonempty list")
     lines = []
     for i, raw in enumerate(raw_lines, start=1):
-        where = f"line {i}"
-        if not isinstance(raw, dict) or "formula" not in raw or "just" not in raw:
-            raise ProofFormatError(f"{where}: need 'formula' and 'just'")
-        formula = parse(raw["formula"])
-        just = raw["just"]
-        if not isinstance(just, dict) or "type" not in just:
-            raise ProofFormatError(f"{where}: 'just' needs a 'type'")
-        kind = just["type"]
-        if kind == "taut":
-            justification: Justification = Taut()
-        elif kind == "axiom":
-            if "schema" not in just:
-                raise ProofFormatError(f"{where}: axiom needs a 'schema'")
-            try:
-                schema = parse_schema(just["schema"])
-            except ValueError as exc:
-                raise ProofFormatError(f"{where}: {exc}") from exc
-            binding = (_binding_from_dict(just["binding"], where)
-                       if "binding" in just else None)
-            justification = AxiomRef(schema, binding)
-        elif kind == "mp":
-            refs = just.get("from")
-            if (not isinstance(refs, list) or len(refs) != 2
-                    or not all(isinstance(r, int) for r in refs)):
-                raise ProofFormatError(f"{where}: mp needs 'from': [i, j]")
-            justification = MP(refs[0], refs[1])
-        elif kind == "re":
-            src = just.get("from")
-            grp = just.get("group")
-            if not isinstance(src, int) or not isinstance(grp, list):
-                raise ProofFormatError(f"{where}: re needs 'from' and 'group'")
-            justification = RE(src, Group(tuple(grp)))
-        else:
-            raise ProofFormatError(f"{where}: unknown justification {kind!r}")
-        lines.append(ProofLine(formula, justification))
+        try:
+            lines.append(_line_from_dict(raw, f"line {i}"))
+        except InputError as exc:  # a bad schema name or agent list
+            raise ProofFormatError(f"line {i}: {exc}") from exc
 
     gamma = None
     if "gamma" in data:
         raw_gamma = data["gamma"]
-        if not isinstance(raw_gamma, list):
+        if not isinstance(raw_gamma, list) \
+                or not all(isinstance(s, str) for s in raw_gamma):
             raise ProofFormatError("'gamma' must be a list of formula strings")
         gamma = tuple(parse(s) for s in raw_gamma)
+    if "phi" in data and not isinstance(data["phi"], str):
+        raise ProofFormatError("'phi' must be a formula string")
     phi = parse(data["phi"]) if "phi" in data else None
     if gamma is not None and phi is None:
         raise ProofFormatError("'gamma' without 'phi' makes no goal")
@@ -868,7 +867,7 @@ def load_proof(path: str) -> ProofFile:
             data = json.load(fh)
     except OSError as exc:
         raise ProofFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long numbers
         raise ProofFormatError(f"{path} is not valid JSON: {exc}") from exc
     return proof_from_dict(data)
 

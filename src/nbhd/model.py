@@ -25,13 +25,11 @@ from heapq import heappush, heappop
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    ModelFormatError,
-    ResourceLimitError,
-    UnknownWorldError,
+    InputError, ModelFormatError, ResourceLimitError, UnknownWorldError,
 )
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
-    render,
+    read_agent, read_agents, render,
 )
 
 __all__ = [
@@ -81,7 +79,7 @@ class WorldSet:
 
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << self.size):
-            raise ValueError(f"bits {self.bits} out of range for {self.size} worlds")
+            raise InputError(f"bits {self.bits} out of range for {self.size} worlds")
 
     @classmethod
     def empty(cls, size: int) -> "WorldSet":
@@ -100,7 +98,7 @@ class WorldSet:
 
     def _check(self, other: "WorldSet") -> None:
         if self.size != other.size:
-            raise ValueError("world sets over different domains")
+            raise InputError("world sets over different domains")
 
     def __and__(self, other: "WorldSet") -> "WorldSet":
         self._check(other)
@@ -154,13 +152,9 @@ class NeighbourhoodMap:
         for fam in fams:
             for bits in fam:
                 if not 0 <= bits < top:
-                    raise ValueError(f"member {bits} out of range for {size} worlds")
+                    raise InputError(f"member {bits} out of range for {size} worlds")
         self.size = size
         self.families = fams
-
-    def family(self, world: int) -> tuple[WorldSet, ...]:
-        return tuple(WorldSet(b, self.size)
-                     for b in sorted(self.families[world]))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, NeighbourhoodMap)
@@ -508,19 +502,12 @@ def definable_sets(m: Model, group_pool: Iterable[Group]) -> dict[WorldSet, Form
 _WORLDS_KEY, _VAL_KEY, _AGENTS_KEY, _GROUPS_KEY = "worlds", "valuation", "agents", "groups"
 
 
-def _parse_group_key(key: str) -> Group:
-    try:
-        return Group(tuple(int(part) for part in key.split(",")))
-    except ValueError as exc:
-        raise ModelFormatError(f"bad group key {key!r}: {exc}") from exc
-
-
 def _set_from_labels(labels: object, index: Mapping[str, int], where: str) -> int:
     if not isinstance(labels, list):
         raise ModelFormatError(f"{where}: expected a list of world labels")
     bits = 0
     for label in labels:
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise ModelFormatError(f"{where}: unknown world {label!r}")
         bits |= 1 << index[label]
     return bits
@@ -585,11 +572,11 @@ def model_from_dict(data: object) -> Model:
         agents: dict[int, NeighbourhoodMap] = {}
         for key, fams in raw.items():
             try:
-                agent = int(key)
-            except ValueError:
+                agent = read_agent(key, "an agent key")
+            except InputError:
                 raise ModelFormatError(f"bad agent key {key!r}") from None
-            if agent < 0:
-                raise ModelFormatError(f"bad agent key {key!r}")
+            if agent in agents:
+                raise ModelFormatError(f"duplicate agent key {key!r}")
             agents[agent] = _family_map_from_dict(fams, index, n, f"agent {key}")
         return AgentModel(worlds, valuation, agents)
 
@@ -598,7 +585,10 @@ def model_from_dict(data: object) -> Model:
         raise ModelFormatError("'groups' must be a mapping")
     groups: dict[Group, NeighbourhoodMap] = {}
     for key, fams in raw.items():
-        g = _parse_group_key(key)
+        try:
+            g = Group(read_agents(key, f"bad group key {key!r}:"))
+        except InputError as exc:
+            raise ModelFormatError(str(exc)) from None
         if g in groups:
             raise ModelFormatError(f"duplicate group key {key!r}")
         groups[g] = _family_map_from_dict(fams, index, n, f"group {key}")
@@ -635,7 +625,7 @@ def load_model(path: str) -> Model:
             data = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable bytes and over-long numbers
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     return model_from_dict(data)
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import ConstraintError, ResourceLimitError
+from .errors import ConstraintError, InputError, ResourceLimitError
 from .formula import Formula, Group, render
 from .frames import (
     BinaryConsistent, Conec, Cop, FrameCondition, Nec, P, _BY_CLASS,
@@ -78,7 +78,7 @@ class Stream:
 
     def below(self, k: int) -> int:
         if k <= 0:
-            raise ValueError("below() needs a positive bound")
+            raise InputError("below() needs a positive bound")
         return self.next() % k
 
 
@@ -106,35 +106,35 @@ class SearchBounds:
 
     def __post_init__(self) -> None:
         if self.max_worlds < 1:
-            raise ValueError("max_worlds must be at least 1")
+            raise InputError("max_worlds must be at least 1")
         agents = tuple(self.agents)
         if not agents or len(set(agents)) != len(agents):
-            raise ValueError("agents must be distinct and nonempty")
+            raise InputError("agents must be distinct and nonempty")
         if any(a < 0 or isinstance(a, bool) for a in agents):
-            raise ValueError("agent ids are non-negative integers")
+            raise InputError("agent ids are non-negative integers")
         object.__setattr__(self, "agents", agents)
         atoms = tuple(self.atoms)
         if len(set(atoms)) != len(atoms):
-            raise ValueError("atoms must be distinct")
+            raise InputError("atoms must be distinct")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "frame_constraints",
                            tuple(self.frame_constraints))
         for c in self.frame_constraints:
             row = _BY_CLASS.get(type(c))
             if row is None:
-                raise ValueError(f"unknown frame constraint {c!r}")
+                raise InputError(f"unknown frame constraint {c!r}")
             named = ((c.agent,) if row.subject == "agent"
                      else tuple(getattr(c, "group", ())))
             for a in named:
                 if a not in agents:
-                    raise ValueError(
+                    raise InputError(
                         f"constraint {format_condition(c)} names an agent "
                         "outside the bounds")
         if self.mode == "random":
             if self.seed is None:
-                raise ValueError("random mode requires an explicit seed")
+                raise InputError("random mode requires an explicit seed")
             if self.trials < 1:
-                raise ValueError("trials must be at least 1")
+                raise InputError("trials must be at least 1")
             if self.max_worlds > 6:
                 raise ResourceLimitError(
                     "random generation supports at most 6 worlds")
@@ -144,7 +144,7 @@ class SearchBounds:
                     "exhaustive mode is guarded to at most 2 worlds, "
                     "2 agents and 2 atoms")
         else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
     repaired into place — request Reflexive instead, which implies it.
     """
     if bounds.mode != "random":
-        raise ValueError("random_model needs bounds in random mode")
+        raise InputError("random_model needs bounds in random mode")
     for c in bounds.frame_constraints:
         if _BY_CLASS[type(c)].repair is None:
             raise ConstraintError(
@@ -257,7 +257,7 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     only has its agent mapping checked.
     """
     if bounds.mode != "exhaustive":
-        raise ValueError("exhaustive_models needs bounds in exhaustive mode")
+        raise InputError("exhaustive_models needs bounds in exhaustive mode")
     cap = _state_cap(_EXHAUSTIVE_LIMIT)
     visited = 0
     # a map serves more than one candidate only with several agents or
@@ -417,7 +417,7 @@ def soundness_fuzz(l: LogicDescriptor, bounds: SearchBounds) -> FuzzReport:
     would be expected, not news, so the mismatch is an error.
     """
     if bounds.mode != "random":
-        raise ValueError("soundness_fuzz needs bounds in random mode")
+        raise InputError("soundness_fuzz needs bounds in random mode")
     missing = [c for c in required_constraints(l, bounds.agents)
                if c not in bounds.frame_constraints]
     if missing:

@@ -7,11 +7,16 @@ import sys
 
 import pytest
 
+import ast
+import pathlib
+
 from nbhd import (
-    Monotone, builtin_certificate, check_condition, fixture, load_model,
-    model_to_dict, save_model,
+    Monotone, NbhdError, builtin_certificate, check_condition, fixture,
+    load_model, model_to_dict, save_model,
 )
 import nbhd
+import nbhd.cli
+from nbhd import errors
 from nbhd.cli import _build_parser, main
 
 
@@ -158,6 +163,12 @@ def test_valid_with_constraints(capsys):
      "--pool needs comma-separated agent ids, got 'x'"),
     (("--schema", "b1", "--pool", "1,,2"),
      "--pool needs comma-separated agent ids, got ''"),
+    # int() took these as 1 and 10; agent ids are decimal digits only
+    (("--formula", "p", "--agents", "+1"),
+     "--agents needs comma-separated agent ids, got '+1'"),
+    (("--schema", "b1", "--pool", "1_0"),
+     "--pool needs comma-separated agent ids, got '1_0'"),
+    (("--schema", "nec:1_0"), "schema 'nec' needs an agent id, got '1_0'"),
 ])
 def test_valid_bad_agent_ids(capsys, argv, message):
     code, out, err = run(capsys, "valid", *argv)
@@ -340,6 +351,49 @@ def test_proof_json_and_bad_file(capsys, tmp_path):
     assert code == 2 and "not valid JSON" in err
 
 
+# Malformed files exit 2 with an error naming the field or line at
+# fault, never with a traceback and exit 1.
+_TAUT = {"formula": "p <-> p", "just": {"type": "taut"}}
+
+
+@pytest.mark.parametrize("kind,data,message", [
+    ("model", {"worlds": ["w"], "valuation": {"p": [["w"]]}, "agents": {}},
+     "valuation of 'p': unknown world ['w']"),
+    ("model", {"worlds": ["w"], "agents": {"1": {"w": []}, "01": {"w": []}}},
+     "duplicate agent key '01'"),
+    ("proof", {"lines": [{"formula": 1, "just": {"type": "taut"}}]},
+     "line 1: need 'formula' and 'just'"),
+    ("proof", {"lines": [_TAUT], "gamma": [1], "phi": "p"},
+     "'gamma' must be a list of formula strings"),
+    ("proof", {"lines": [_TAUT], "phi": 1}, "'phi' must be a formula string"),
+    ("proof", {"lines": [{"formula": "p", "just": {"type": "axiom",
+                                                   "schema": 1}}]},
+     "line 1: axiom needs a 'schema'"),
+    ("proof", {"lines": [_TAUT], "logic": {"extensions": [1]}},
+     "'extensions' must be a list of schema names"),
+    ("proof", {"lines": [_TAUT, {"formula": "[1]p <-> [1]p",
+                                 "just": {"type": "re", "from": 1,
+                                          "group": [[1]]}}]},
+     "line 2: agent ids are non-negative integers, got [1]"),
+])
+def test_malformed_files_exit_2(capsys, tmp_path, kind, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = (("check", "--model", str(path), "--formula", "p")
+            if kind == "model" else ("proof", "--file", str(path)))
+    assert run(capsys, *argv) == (2, [], f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("check", "--formula", "p", "--model"),
+                                  ("proof", "--file")])
+def test_undecodable_files_exit_2(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, [])
+    assert err.startswith(f"error: {path} is not valid JSON: 'utf-8' codec")
+
+
 # ---------------------------------------------------------------------------
 # fixture
 
@@ -423,6 +477,49 @@ def test_main_reuses_its_parser(capsys, m1, tmp_path):
     assert reused == fresh + fresh
     assert _build_parser.cache_info().misses == 1
     assert [code for code, _, _ in fresh] == [2, 0, 2, 2, 0, 1, 0, 2, 1, 1]
+
+
+def _frame_request(capsys, monkeypatch, m1, check):
+    monkeypatch.setattr(nbhd.cli, "check_condition", check)
+    return run(capsys, "frame", "--model", m1, "--condition", "reflexive")
+
+
+def test_main_lets_a_library_bug_through(capsys, monkeypatch, m1):
+    def bug(m, c):
+        raise ValueError("a library bug")
+    with pytest.raises(ValueError, match="a library bug"):
+        _frame_request(capsys, monkeypatch, m1, bug)
+
+
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, NbhdError)
+], ids=lambda cls: cls.__name__)
+def test_main_reports_each_deliberate_error(capsys, monkeypatch, m1, cls):
+    exc = cls("bad", 0) if cls is errors.FormulaSyntaxError else cls("bad")
+
+    def deliberate(m, c):
+        raise exc
+    assert _frame_request(capsys, monkeypatch, m1, deliberate) == (
+        2, [], f"error: {exc}\n")
+
+
+def test_no_bare_value_error_is_raised_or_caught_as_bad_input():
+    package = pathlib.Path(nbhd.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                assert ast.unparse(exc) != "ValueError", \
+                    f"{path.name}:{node.lineno} raises a bare ValueError"
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for node in ast.walk(main_def)
+              if isinstance(node, ast.Try) for handler in node.handlers]
+    # SystemExit is argparse leaving on --help or a usage error
+    assert caught == ["SystemExit", "NbhdError"]
 
 
 def test_import_builds_no_parser():

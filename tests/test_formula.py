@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 
 from nbhd import (
     AgentModel, And, Atom, Bottom, Box, FormulaSyntaxError, Group, Iff,
-    Implies, NeighbourhoodMap, Not, Or, ResourceLimitError, Top, World,
+    Implies, InputError, NeighbourhoodMap, Not, Or, ResourceLimitError, Top, World,
     WorldSet, boxed_atoms, formula_agents, formula_atoms,
     is_propositional_tautology, normalize, parse, render, truth_set,
 )
+from nbhd.formula import read_agent, read_agents
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -36,6 +37,40 @@ def test_group_rejects_bad_members():
         Group((-1,))
     with pytest.raises(ValueError):
         Group((True,))
+
+
+@pytest.mark.parametrize("members,bad", [
+    (("a", 1), "'a'"), (([1],), "[1]"), ((1, None), "None"), ((3, -1, -2), "-2"),
+])
+def test_group_names_a_bad_member_before_sorting(members, bad):
+    with pytest.raises(InputError) as exc:
+        Group(members)
+    assert str(exc.value) == f"agent ids are non-negative integers, got {bad}"
+
+
+@pytest.mark.parametrize("text,agents", [
+    ("0", (0,)), (" 12\t", (12,)), ("007", (7,)), ("١", (1,)),
+    ("1, 2,1", (1, 2, 1)), ("9" * 4300, (int("9" * 4300),)),
+])
+def test_read_agents_accepts_decimal_runs(text, agents):
+    assert read_agents(text, "x") == agents
+    if len(agents) == 1:
+        assert read_agent(text, "x") == agents[0]
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "+1", "-1", "-0", "1_0", "²", "1.0", "0x1", "x", "9" * 4301,
+])
+def test_read_agents_rejects_anything_else(text):
+    with pytest.raises(InputError) as exc:
+        read_agent(text, "x")
+    assert str(exc.value) == f"x needs an agent id, got {text!r}"
+    with pytest.raises(InputError) as exc:
+        read_agents("1," + text, "x")
+    assert str(exc.value) == ("x needs comma-separated agent ids, "
+                              f"got {text.strip()!r}")
+    with pytest.raises(FormulaSyntaxError):
+        parse(f"[{text}]p")
 
 
 def test_group_set_operations():

@@ -239,6 +239,10 @@ def test_parse_condition_flexible_spelling():
     ("cop:-3", "condition 'cop' needs an agent id, got '-3'"),
     ("pg:", "bad group"),
     ("pg:1,,2", "bad group"),
+    ("nec:+1", "condition 'nec' needs an agent id, got '+1'"),
+    ("nec:1_0", "condition 'nec' needs an agent id, got '1_0'"),
+    ("pg:1,+2", "bad group in 'pg:1,+2': needs comma-separated agent ids, "
+                "got '+2'"),
     ("frobnicate", "unknown frame condition"),
 ])
 def test_parse_condition_errors(text, fragment):

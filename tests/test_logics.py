@@ -4,14 +4,13 @@ import pytest
 
 from nbhd import (
     AgentModel, AxiomRef, B1, B2, B3, B4, BASE_LOGIC, CERTIFICATE_NAMES, CG,
-    CONEC, COP, CounterExample, DI, Group, LogicDescriptor, MP, NEC,
-    NeighbourhoodMap, Proof, ProofFormatError, ProofLine, ProofVerdict, RE,
-    RMG, ResourceLimitError, SA, SchemaId, SchemaVerdict, TG, Taut, World,
+    CONEC, COP, CounterExample, DI, Group, InputError, LogicDescriptor, MP,
+    NEC, NeighbourhoodMap, Proof, ProofFormatError, ProofLine, ProofVerdict,
+    RE, RMG, ResourceLimitError, SA, SchemaId, SchemaVerdict, TG, Taut, World,
     WorldSet, builtin_certificate, check_entailment_certificate, check_proof,
-    check_schema_semantically, close_under_supersets, fixture,
-    format_schema, instantiate_schema, is_axiom_instance, logic_from_dict,
-    logic_to_dict, match_schema, parse, parse_schema, proof_from_dict,
-    proof_to_dict, render,
+    check_schema_semantically, close_under_supersets, fixture, format_schema,
+    instantiate_schema, is_axiom_instance, logic_from_dict, logic_to_dict,
+    match_schema, parse, parse_schema, proof_from_dict, proof_to_dict, render,
 )
 from nbhd import PG
 from nbhd import PSchema as P
@@ -56,6 +55,14 @@ def test_parse_schema_errors():
         parse_schema("nec:x")
     with pytest.raises(ValueError, match="unknown schema"):
         parse_schema("zzz")
+
+
+@pytest.mark.parametrize("arg", ["+1", "1_0", "-1", "-0", "1,2"])
+def test_parse_schema_reads_agents_as_decimal_digits(arg):
+    assert parse_schema(" nec: 2 ") == NEC(2)
+    with pytest.raises(InputError) as exc:
+        parse_schema("nec:" + arg)
+    assert str(exc.value) == f"schema 'nec' needs an agent id, got {arg!r}"
 
 
 def test_logic_descriptor():

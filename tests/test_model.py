@@ -367,6 +367,15 @@ def test_star_default_families():
     ({"worlds": ["a"], "groups": {"1": {"a": []}, "1,1": {"a": []}}},
      "duplicate group"),
     ({"worlds": ["a"], "agents": {"1": {"a": "no"}}}, "must be a list"),
+    ({"worlds": ["a"], "agents": {"1": {"a": []}, "01": {"a": [["a"]]}}},
+     "duplicate agent key '01'"),
+    ({"worlds": ["a"], "agents": {"1": {"a": []}, "+1": {"a": [["a"]]}}},
+     "bad agent key '+1'"),
+    ({"worlds": ["a"], "agents": {"1_0": {"a": []}}}, "bad agent key '1_0'"),
+    ({"worlds": ["a"], "agents": {1: {"a": []}}}, "bad agent key 1"),
+    ({"worlds": ["a"], "groups": {"1,-1": {"a": []}}}, "bad group key"),
+    ({"worlds": ["a"], "valuation": {"p": [["a"]]}, "agents": {}},
+     "valuation of 'p': unknown world ['a']"),
 ])
 def test_model_from_dict_errors(data, fragment):
     with pytest.raises(ModelFormatError) as exc:
