@@ -3,25 +3,23 @@
 The language has the constants ``true`` and ``false``, atoms, the usual
 classical connectives and one box operator per nonempty finite group of
 agents, written with brackets: ``[1,2]p`` says that group {1,2} is
-committed to ``p``.  Connective precedence, loosest binding first::
-
-    <->     left associative
-    ->      right associative
-    |       left associative
-    &       left associative
-    ~ [G]   prefix, bind tightest
+committed to ``p``.  ``~`` and boxes bind tightest, then ``&``, ``|``,
+``->`` and ``<->``; ``->`` groups to the right and the others to the left.
 
 ``true``, ``&``, ``->`` and ``<->`` are definitional sugar over the
 primitive basis {false, atoms, ~, |, boxes}; :func:`normalize` rewrites
 into that basis.  Parsing and printing are mutually inverse:
-``parse(render(f))`` returns a structurally equal formula.
+``parse(render(f))`` returns a structurally equal formula.  Each binary
+connective is one row of ``_CONNECTIVES``, which the parser, the printer,
+:func:`normalize` and truth evaluation read; only :func:`_children` knows
+which fields of a node hold its subformulas.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
 
@@ -171,6 +169,50 @@ class Box(Formula):
 
 
 # ---------------------------------------------------------------------------
+# Binary connectives
+
+
+# Precedence levels: higher binds tighter.
+_IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
+
+
+class _Connective(NamedTuple):
+    token: str       # its kind among the parser's tokens
+    symbol: str      # as written and printed
+    level: int       # its precedence
+    left: int        # the least level each operand has without brackets:
+    right: int       # "->" groups to the right and the others to the left
+    truth: Callable[[int, int, int], int]  # on bit vectors, given the full one
+    basis: Callable[[Formula, Formula], Formula]  # of normalized operands
+
+
+_CONNECTIVES = {
+    Iff: _Connective("iff", "<->", _IFF, _IFF, _IMP,
+                     lambda a, b, full: full ^ (a ^ b),
+                     # (a -> b) & (b -> a), each operand shared by its copies
+                     lambda a, b: Not(Or(Not(Or(Not(a), b)),
+                                         Not(Or(Not(b), a))))),
+    Implies: _Connective("imp", "->", _IMP, _OR, _IMP,
+                         lambda a, b, full: (full ^ a) | b,
+                         lambda a, b: Or(Not(a), b)),
+    Or: _Connective("or", "|", _OR, _OR, _AND, lambda a, b, full: a | b, Or),
+    And: _Connective("and", "&", _AND, _AND, _UNARY, lambda a, b, full: a & b,
+                     lambda a, b: Not(Or(Not(a), Not(b)))),
+}
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The subformulas right below ``f``; a TypeError if ``f`` is none."""
+    if type(f) in _CONNECTIVES:
+        return (f.left, f.right)
+    if isinstance(f, (Not, Box)):
+        return (f.body,)
+    if isinstance(f, (Atom, Bottom, Top)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer / parser
 
 
@@ -179,9 +221,12 @@ class Box(Formula):
 # maximal run that may continue an agent id or an atom name; _tokenize
 # splits it with str.isdigit(), which unlike \d also takes "²" and "①".
 _TOKEN = re.compile(r"\s*(?:(<->|->|[~&|()\[\],])|(\w+)|(\S))")
-_SYMBOLS = {"<->": "iff", "->": "imp", "~": "not", "&": "and", "|": "or",
-            "(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
-            ",": "comma"}
+_SYMBOLS = {"~": "not", "(": "lparen", ")": "rparen", "[": "lbrack",
+            "]": "rbrack", ",": "comma",
+            **{row.symbol: row.token for row in _CONNECTIVES.values()}}
+# For the parser, by token: level, right operand's least level, node.
+_BINARY = {row.token: (row.level, row.right, cls)
+           for cls, row in _CONNECTIVES.items()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -219,12 +264,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # limit.
 _MAX_DEPTH = 100
 
-# Precedence levels: higher binds tighter.
-_IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
-# Binary connectives by token: their level and their node.
-_BINARY = {"iff": (_IFF, Iff), "imp": (_IMP, Implies), "or": (_OR, Or),
-           "and": (_AND, And)}
-
 
 class _Parser:
     """Precedence climbing over the grammar
@@ -233,10 +272,9 @@ class _Parser:
         unary   := "~" unary | "[" group "]" unary | "(" formula ")"
                  | "true" | "false" | atom
 
-    where "&" binds tighter than "|", "|" than "->" and "->" than "<->";
-    "->" groups to the right and the others to the left.  Each rule
-    returns its formula and its depth: the most connectives, boxes and
-    parentheses that enclose one atom of it.
+    where each binop binds and groups as its row of ``_CONNECTIVES`` says.
+    Each rule returns its formula and its depth: the most connectives,
+    boxes and parentheses that enclose one atom of it.
     """
 
     def __init__(self, text: str):
@@ -244,19 +282,12 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # the levels enclosing the rule being parsed
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise FormulaSyntaxError(f"expected {what}", tok[2])
-        return self.take()
+        self.pos += 1
+        return tok
 
     def deeper(self, depth: int, pos: int) -> None:
         """Enter the construct at ``pos``, around a part ``depth`` deep."""
@@ -270,13 +301,12 @@ class _Parser:
         node, depth = self.unary()
         while True:
             kind, _, pos = self.tokens[self.pos]
-            level, make = _BINARY.get(kind, (0, None))
+            level, right_least, make = _BINARY.get(kind, (0, 0, None))
             if level < least:
                 return node, depth
             self.pos += 1
             self.deeper(depth, pos)
-            right, right_depth = self.formula(
-                level if kind == "imp" else level + 1)
+            right, right_depth = self.formula(right_least)
             self.depth -= 1
             node, depth = make(node, right), max(depth, right_depth) + 1
 
@@ -309,8 +339,8 @@ class _Parser:
 
     def group(self) -> Group:
         agents = [self.agent()]
-        while self.peek()[0] == "comma":
-            self.take()
+        while self.tokens[self.pos][0] == "comma":
+            self.pos += 1
             agents.append(self.agent())
         self.expect("rbrack", "']'")
         return Group(tuple(agents))
@@ -327,7 +357,7 @@ def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, raising FormulaSyntaxError on bad input."""
     parser = _Parser(text)
     node, _ = parser.formula()
-    kind, _, pos = parser.peek()
+    kind, _, pos = parser.tokens[parser.pos]
     if kind != "end":
         raise FormulaSyntaxError("unexpected trailing input", pos)
     return node
@@ -337,32 +367,26 @@ def parse(text: str) -> Formula:
 # Printer
 
 
+_PRINT = {cls: (f" {row.symbol} ", row.level, row.left, row.right)
+          for cls, row in _CONNECTIVES.items()}
+
+
 def _render(f: Formula, want: int) -> str:
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Top):
-        return "true"
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
         return "~" + _render(f.body, _UNARY)
+    binary = _PRINT.get(type(f))
+    if binary is not None:
+        infix, level, left, right = binary
+        s = _render(f.left, left) + infix + _render(f.right, right)
+        return f"({s})" if level < want else s
     if isinstance(f, Box):
         return f"[{f.group}]" + _render(f.body, _UNARY)
-    if isinstance(f, And):
-        s = _render(f.left, _AND) + " & " + _render(f.right, _UNARY)
-        level = _AND
-    elif isinstance(f, Or):
-        s = _render(f.left, _OR) + " | " + _render(f.right, _AND)
-        level = _OR
-    elif isinstance(f, Implies):
-        s = _render(f.left, _OR) + " -> " + _render(f.right, _IMP)
-        level = _IMP
-    elif isinstance(f, Iff):
-        s = _render(f.left, _IFF) + " <-> " + _render(f.right, _IMP)
-        level = _IFF
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({s})" if level < want else s
+    if isinstance(f, Bottom):
+        return "false"
+    _children(f)  # a TypeError unless f is Top
+    return "true"
 
 
 def render(f: Formula) -> str:
@@ -380,66 +404,43 @@ def normalize(f: Formula) -> Formula:
     Total and idempotent; the result has the same truth set on every
     model as the input.
     """
-    if isinstance(f, (Bottom, Atom)):
-        return f
-    if isinstance(f, Top):
-        return Not(Bottom())
+    row = _CONNECTIVES.get(type(f))
+    if row is not None:
+        return row.basis(normalize(f.left), normalize(f.right))
     if isinstance(f, Not):
         return Not(normalize(f.body))
-    if isinstance(f, Or):
-        return Or(normalize(f.left), normalize(f.right))
-    if isinstance(f, And):
-        return Not(Or(Not(normalize(f.left)), Not(normalize(f.right))))
-    if isinstance(f, Implies):
-        return Or(Not(normalize(f.left)), normalize(f.right))
-    if isinstance(f, Iff):
-        # (a -> b) & (b -> a), with each side normalized once and shared
-        left, right = normalize(f.left), normalize(f.right)
-        return Not(Or(Not(Or(Not(left), right)), Not(Or(Not(right), left))))
     if isinstance(f, Box):
         return Box(f.group, normalize(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    _children(f)  # a TypeError unless f is an atom or a constant
+    return Not(Bottom()) if isinstance(f, Top) else f
+
+
+def _subformulas(f: Formula, into_boxes: bool) -> list[Formula]:
+    """``f`` and its subformulas, parents before children and left before
+    right; below a box only if ``into_boxes``."""
+    out = [f]
+    if into_boxes or not isinstance(f, Box):
+        for child in _children(f):
+            out += _subformulas(child, into_boxes)
+    return out
 
 
 def formula_atoms(f: Formula) -> frozenset[str]:
     """Names of the atoms occurring anywhere in ``f``."""
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, (Bottom, Top)):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_atoms(f.body)
-    if isinstance(f, Box):
-        return formula_atoms(f.body)
-    if isinstance(f, (Or, And, Implies, Iff)):
-        return formula_atoms(f.left) | formula_atoms(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.name for g in _subformulas(f, True)
+                     if isinstance(g, Atom))
 
 
 def formula_agents(f: Formula) -> frozenset[int]:
     """Agent ids occurring in box indices anywhere in ``f``."""
-    if isinstance(f, (Bottom, Top, Atom)):
-        return frozenset()
-    if isinstance(f, Not):
-        return formula_agents(f.body)
-    if isinstance(f, Box):
-        return frozenset(f.group) | formula_agents(f.body)
-    if isinstance(f, (Or, And, Implies, Iff)):
-        return formula_agents(f.left) | formula_agents(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(a for g in _subformulas(f, True) if isinstance(g, Box)
+                     for a in g.group)
 
 
 def boxed_atoms(f: Formula) -> frozenset[Formula]:
     """The propositional units of ``f``: atoms plus outermost boxed subformulas."""
-    if isinstance(f, (Atom, Box)):
-        return frozenset((f,))
-    if isinstance(f, (Bottom, Top)):
-        return frozenset()
-    if isinstance(f, Not):
-        return boxed_atoms(f.body)
-    if isinstance(f, (Or, And, Implies, Iff)):
-        return boxed_atoms(f.left) | boxed_atoms(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g for g in _subformulas(f, False)
+                     if isinstance(g, (Atom, Box)))
 
 
 _MAX_TAUTOLOGY_UNITS = 20
@@ -461,9 +462,13 @@ def is_propositional_tautology(f: Formula) -> bool:
             f"tautology check over {len(units)} units exceeds the "
             f"{_MAX_TAUTOLOGY_UNITS}-unit guard")
     rows = 1 << len(units)
-    memo = {}
+    bits = {}
     for i, u in enumerate(units):
         run = 1 << i  # rows alternate runs of 2^i with unit i false and true
-        memo[u] = int(("1" * run + "0" * run) * (rows // (2 * run)), 2)
+        bits[u] = int(("1" * run + "0" * run) * (rows // (2 * run)), 2)
+    # the memo is keyed by node: each occurrence of a unit looks up its
+    # bits by value here, and no other node is hashed
+    memo = {id(g): bits[g] for g in _subformulas(f, False)
+            if isinstance(g, (Atom, Box))}
     full = (1 << rows) - 1
     return _truth_bits(None, f, memo, full) == full

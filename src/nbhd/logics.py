@@ -40,11 +40,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import InputError, ProofFormatError, ResourceLimitError
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
-    is_propositional_tautology, parse, read_agent, render,
+    _children, is_propositional_tautology, parse, read_agent, render,
 )
 from .model import (
-    Model, WorldSet, _state_cap, default_group_pool, definable_sets,
-    group_families,
+    Model, WorldSet, _json_file, _state_cap, default_group_pool,
+    definable_sets, group_families,
 )
 
 __all__ = [
@@ -103,12 +103,8 @@ def _unify(p: Formula, f: object, env: dict, boxes: list) -> bool:
         return False
     if isinstance(p, Box):
         boxes.append((p.group, f.group))
-    if isinstance(p, (Box, Not)):
-        return _unify(p.body, f.body, env, boxes)
-    if isinstance(p, (And, Or, Implies)):
-        return (_unify(p.left, f.left, env, boxes)
-                and _unify(p.right, f.right, env, boxes))
-    return True
+    return all(_unify(q, g, env, boxes)
+               for q, g in zip(_children(p), _children(f)))
 
 
 def _metavariables(p: Formula) -> tuple[tuple[tuple[str, ...], ...],
@@ -266,11 +262,7 @@ def _substitute(p: Formula, env: Mapping[str, "Group | Formula"]) -> Formula:
         return env[p.name]
     if isinstance(p, Box):
         return Box(_union(env[v] for v in p.group), _substitute(p.body, env))
-    if isinstance(p, Not):
-        return Not(_substitute(p.body, env))
-    if isinstance(p, (And, Or, Implies)):
-        return type(p)(_substitute(p.left, env), _substitute(p.right, env))
-    return p
+    return type(p)(*(_substitute(q, env) for q in _children(p)))
 
 
 def instantiate_schema(s: SchemaId,
@@ -862,14 +854,7 @@ def proof_to_dict(pf: ProofFile) -> dict:
 
 
 def load_proof(path: str) -> ProofFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ProofFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also undecodable bytes and over-long numbers
-        raise ProofFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return proof_from_dict(data)
+    return proof_from_dict(_json_file(path, ProofFormatError))
 
 
 CERTIFICATE_NAMES = (

@@ -25,10 +25,11 @@ from heapq import heappush, heappop
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    InputError, ModelFormatError, ResourceLimitError, UnknownWorldError,
+    InputError, ModelFormatError, NbhdError, ResourceLimitError,
+    UnknownWorldError,
 )
 from .formula import (
-    And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
+    _CONNECTIVES, Atom, Bottom, Box, Formula, Group, Not, Or, Top, _children,
     read_agent, read_agents, render,
 )
 
@@ -345,34 +346,22 @@ def group_neighbourhood(m: Model, g: Group, world: "World | int | str") -> tuple
 
 
 def _truth_bits(m: Model, f: Formula, memo: dict, full: int) -> int:
-    """Truth set of ``f`` as a bit vector below the domain mask ``full``.
-
-    ``m`` is read only for atoms and boxes that ``memo`` does not hold.
-    """
-    hit = memo.get(f)
+    """Truth set of ``f`` as a bit vector below the domain mask ``full``;
+    ``memo`` maps the id of each node evaluated so far to its bits, so a
+    node that ``f`` shares is evaluated once, and ``m`` is read only for
+    atoms and boxes that ``memo`` does not hold."""
+    hit = memo.get(id(f))
     if hit is not None:
         return hit
-    if isinstance(f, Bottom):
-        bits = 0
-    elif isinstance(f, Top):
-        bits = full
+    row = _CONNECTIVES.get(type(f))
+    if row is not None:
+        bits = row.truth(_truth_bits(m, f.left, memo, full),
+                         _truth_bits(m, f.right, memo, full), full)
+    elif isinstance(f, Not):
+        bits = full ^ _truth_bits(m, f.body, memo, full)
     elif isinstance(f, Atom):
         ws = m.valuation.get(f.name)
         bits = ws.bits if ws is not None else 0
-    elif isinstance(f, Not):
-        bits = full ^ _truth_bits(m, f.body, memo, full)
-    elif isinstance(f, Or):
-        bits = (_truth_bits(m, f.left, memo, full)
-                | _truth_bits(m, f.right, memo, full))
-    elif isinstance(f, And):
-        bits = (_truth_bits(m, f.left, memo, full)
-                & _truth_bits(m, f.right, memo, full))
-    elif isinstance(f, Implies):
-        bits = ((full ^ _truth_bits(m, f.left, memo, full))
-                | _truth_bits(m, f.right, memo, full))
-    elif isinstance(f, Iff):
-        bits = full ^ (_truth_bits(m, f.left, memo, full)
-                       ^ _truth_bits(m, f.right, memo, full))
     elif isinstance(f, Box):
         body = _truth_bits(m, f.body, memo, full)
         bits = 0
@@ -380,8 +369,9 @@ def _truth_bits(m: Model, f: Formula, memo: dict, full: int) -> int:
             if body in fam:
                 bits |= 1 << w
     else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = bits
+        _children(f)  # a TypeError unless f is a constant
+        bits = full if isinstance(f, Top) else 0
+    memo[id(f)] = bits
     return bits
 
 
@@ -619,28 +609,36 @@ def model_to_dict(m: Model) -> dict:
     return out
 
 
-def load_model(path: str) -> Model:
+def _json_file(path: str, error: type[NbhdError], data: object = None):
+    """Read the JSON value in file ``path`` or, given ``data``, write it;
+    a file that is unreadable, unwritable or no JSON raises ``error``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        if data is None:
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data, indent=2) + "\n")
     except OSError as exc:
-        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+        verb = "read" if data is None else "write"
+        raise error(f"cannot {verb} {path}: {exc}") from exc
     except ValueError as exc:  # also undecodable bytes and over-long numbers
-        raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return model_from_dict(data)
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def load_model(path: str) -> Model:
+    return model_from_dict(_json_file(path, ModelFormatError))
 
 
 def save_model(m: Model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(m), fh, indent=2)
-        fh.write("\n")
+    _json_file(path, InputError, model_to_dict(m))
 
 
 # ---------------------------------------------------------------------------
 # Built-in example models
 
-_PQR_WORLDS = ["wp", "wq", "wr"]
-_PQR_VAL = {"p": ["wp"], "q": ["wq"], "r": ["wr"]}
+# Three worlds, each atom true at one of them.
+_PQR = {"worlds": ["wp", "wq", "wr"],
+        "valuation": {"p": ["wp"], "q": ["wq"], "r": ["wr"]}}
 
 # Subsets of {wp, wq, wr} ascending by bit vector, for the M2 families.
 _PQR_SUBSETS = [
@@ -652,16 +650,14 @@ _FIXTURES: dict[str, dict] = {
     # Constant group families over three worlds; groups without an entry
     # default to {empty set}.  Each Mk refutes exactly the schema Bk.
     "M1": {
-        "worlds": _PQR_WORLDS,
-        "valuation": _PQR_VAL,
+        **_PQR,
         "groups": {
             "1": {"*": [["wp", "wr"], []]},
             "2": {"*": [["wq", "wr"], []]},
         },
     },
     "M2": {
-        "worlds": _PQR_WORLDS,
-        "valuation": _PQR_VAL,
+        **_PQR,
         "groups": {
             **{key: {"*": [s for s in _PQR_SUBSETS if len(s) < 3]}
                for key in ("1", "2", "3")},
@@ -670,16 +666,14 @@ _FIXTURES: dict[str, dict] = {
         },
     },
     "M3": {
-        "worlds": _PQR_WORLDS,
-        "valuation": _PQR_VAL,
+        **_PQR,
         "groups": {
             "1": {"*": [["wp"], []]},
             "1,2,3": {"*": [["wp"], []]},
         },
     },
     "M4": {
-        "worlds": _PQR_WORLDS,
-        "valuation": _PQR_VAL,
+        **_PQR,
         "groups": {
             "1,3": {"*": [["wp"], []]},
             "1,2": {"*": [["wp", "wq"], []]},

@@ -85,6 +85,12 @@ class Stream:
 # ---------------------------------------------------------------------------
 # Bounds
 
+
+def _whole(value: object) -> bool:
+    """Whether ``value`` is an int and no bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Search space plus generation mode.
@@ -105,15 +111,22 @@ class SearchBounds:
     frame_constraints: tuple[FrameCondition, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("max_worlds", "trials", "seed"):
+            value = getattr(self, name)
+            if not (_whole(value) or name == "seed" and value is None):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.max_worlds < 1:
             raise InputError("max_worlds must be at least 1")
         agents = tuple(self.agents)
+        if not all(_whole(a) and a >= 0 for a in agents):
+            raise InputError("agent ids are non-negative integers, "
+                             f"got {agents!r}")
         if not agents or len(set(agents)) != len(agents):
             raise InputError("agents must be distinct and nonempty")
-        if any(a < 0 or isinstance(a, bool) for a in agents):
-            raise InputError("agent ids are non-negative integers")
         object.__setattr__(self, "agents", agents)
         atoms = tuple(self.atoms)
+        if not all(isinstance(x, str) for x in atoms):
+            raise InputError(f"atoms are names, got {atoms!r}")
         if len(set(atoms)) != len(atoms):
             raise InputError("atoms must be distinct")
         object.__setattr__(self, "atoms", atoms)

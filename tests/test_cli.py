@@ -308,6 +308,14 @@ def test_close_needs_exactly_one_direction(capsys, nr, tmp_path):
     assert code == 2
 
 
+def test_close_into_a_missing_directory(capsys, nr, tmp_path):
+    out_path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "close", "--model", nr, "--supersets",
+                         "-o", out_path)
+    assert (code, out) == (2, [])
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 # ---------------------------------------------------------------------------
 # proof
 
@@ -409,6 +417,30 @@ def test_fixture_unknown_name(capsys, tmp_path):
     code = main(["fixture", "M9", "-o", str(tmp_path / "x.json")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_fixture_into_a_missing_directory(capsys, tmp_path):
+    out_path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "fixture", "M1", "-o", out_path)
+    assert (code, out) == (2, [])
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert not os.path.exists(os.path.dirname(out_path))
+
+
+def test_saved_model_file_text(tmp_path):
+    # two-space indent, keys in model_to_dict order, one final newline
+    path = tmp_path / "nr.json"
+    save_model(fixture("NONREFLEXIVE"), str(path))
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "worlds": [\n    "w",\n    "v"\n  ],\n'
+        '  "valuation": {\n    "p": [\n      "w",\n      "v"\n    ],\n'
+        '    "q": [\n      "w",\n      "v"\n    ]\n  },\n'
+        '  "agents": {\n    "1": {\n      "w": [\n        [\n'
+        '          "w"\n        ]\n      ],\n      "v": [\n        [\n'
+        '          "w"\n        ]\n      ]\n    },\n    "2": {\n'
+        '      "w": [\n        [\n          "v"\n        ]\n      ],\n'
+        '      "v": [\n        [\n          "v"\n        ]\n      ]\n'
+        '    }\n  }\n}\n')
 
 
 # ---------------------------------------------------------------------------

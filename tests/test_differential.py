@@ -51,6 +51,20 @@ by models with other world labels and other agents.
 ``normalize_reference`` is a verbatim copy of the ``normalize`` that
 normalized both copies of each side of an ``<->``.  The test requires
 the same formula, and a 30-deep chain of ``<->`` must normalize at once.
+
+``_render_reference``, ``normalize_linear_reference``, the three
+collectors ``formula_atoms_reference``, ``formula_agents_reference`` and
+``boxed_atoms_reference``, ``truth_bits_reference`` and
+``tautology_reference`` are verbatim copies of the traversals that
+tested each node class by hand, before the table of binary connectives
+and the one child function in ``nbhd.formula``, and of the evaluator
+that kept truth sets by value.  (``tautology_reference`` drops only its
+import of the evaluator.)  The tests require the same string, formula,
+set, verdict and bit vector on Hypothesis formulas and their normal
+forms, the same group derivations in the same order, the same bits from
+the tautology check's unit memo, and the same ``TypeError`` where a
+node is replaced by something that is no formula.  A normalized 20-deep
+chain of ``<->`` must evaluate at once.
 """
 
 from __future__ import annotations
@@ -71,16 +85,17 @@ from nbhd import (
     GeneralModel, Group, Iff, Implies, IntersectionClosed, LogicDescriptor,
     Monotone, Nec, NeighbourhoodMap, Not, Or, PCondition, PGroup, Reflexive,
     ResourceLimitError, SchemaId, SchemaVerdict, SearchBounds, Stream, Top,
-    World, WorldSet, builtin_certificate, check_condition,
+    World, WorldSet, boxed_atoms, builtin_certificate, check_condition,
     check_schema_semantically, default_group_pool, exhaustive_models,
-    format_condition, format_schema, group_families, instantiate_schema,
-    match_schema, normalize, parse, proof_from_dict, random_model,
-    required_constraints,
+    format_condition, format_schema, formula_agents, formula_atoms,
+    group_families, instantiate_schema, is_propositional_tautology,
+    match_schema, normalize, parse, proof_from_dict, random_model, render,
+    required_constraints, truth_set,
 )
 import nbhd.formula
 from nbhd.frames import P
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
-from nbhd.model import Model, _SharedMap, _state_cap
+from nbhd.model import Model, _SharedMap, _state_cap, _truth_bits
 from nbhd.search import _EXHAUSTIVE_LIMIT
 from test_acceptance import _MUTATIONS
 from test_formula import _FORMULAS
@@ -1168,6 +1183,294 @@ def test_normalize_is_linear_on_a_30_deep_iff_chain():
     assert elapsed < 0.5
     # each side is normalized once and shared by both of its copies
     assert _distinct_nodes(g) <= 10 * 31
+
+
+def test_truth_set_is_linear_on_a_normalized_20_deep_iff_chain():
+    # normalize shares each side of an <-> between its two copies.  The
+    # reference kept truth sets by value, so it hashed whole subtrees and
+    # evaluated the result as a tree: over a minute at 20 levels.
+    f = _iff_chain(20)
+    m = _build(3, False, {1: [{1, 2, 5}, {3, 4}, {0, 7}]},
+               {f"p{i}": i % 8 for i in range(21)})
+    g = normalize(f)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = perf_counter()
+        got = truth_set(m, g)
+        elapsed = perf_counter() - start
+    except TimeoutError:
+        elapsed = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if elapsed is None:
+        pytest.fail("truth_set took more than 5 s", pytrace=False)
+    assert elapsed < 1
+    assert got == truth_set(m, f)
+
+
+# ---------------------------------------------------------------------------
+# Traversal oracle: the printer, normal form, collectors, evaluator and
+# tautology check against the reference (copied verbatim, renamed)
+
+
+_IFF, _IMP, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
+_MAX_TAUTOLOGY_UNITS = 20
+
+
+def _render_reference(f: Formula, want: int) -> str:
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return "~" + _render_reference(f.body, _UNARY)
+    if isinstance(f, Box):
+        return f"[{f.group}]" + _render_reference(f.body, _UNARY)
+    if isinstance(f, And):
+        s = _render_reference(f.left, _AND) + " & " + _render_reference(f.right, _UNARY)
+        level = _AND
+    elif isinstance(f, Or):
+        s = _render_reference(f.left, _OR) + " | " + _render_reference(f.right, _AND)
+        level = _OR
+    elif isinstance(f, Implies):
+        s = _render_reference(f.left, _OR) + " -> " + _render_reference(f.right, _IMP)
+        level = _IMP
+    elif isinstance(f, Iff):
+        s = _render_reference(f.left, _IFF) + " <-> " + _render_reference(f.right, _IMP)
+        level = _IFF
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return f"({s})" if level < want else s
+
+
+def render_reference(f: Formula) -> str:
+    """Print ``f`` with minimal parentheses; inverse of :func:`parse`."""
+    return _render_reference(f, _IFF)
+
+
+def normalize_linear_reference(f: Formula) -> Formula:
+    """Rewrite into the primitive basis {false, atoms, ~, |, boxes}.
+
+    Total and idempotent; the result has the same truth set on every
+    model as the input.
+    """
+    if isinstance(f, (Bottom, Atom)):
+        return f
+    if isinstance(f, Top):
+        return Not(Bottom())
+    if isinstance(f, Not):
+        return Not(normalize_linear_reference(f.body))
+    if isinstance(f, Or):
+        return Or(normalize_linear_reference(f.left), normalize_linear_reference(f.right))
+    if isinstance(f, And):
+        return Not(Or(Not(normalize_linear_reference(f.left)), Not(normalize_linear_reference(f.right))))
+    if isinstance(f, Implies):
+        return Or(Not(normalize_linear_reference(f.left)), normalize_linear_reference(f.right))
+    if isinstance(f, Iff):
+        # (a -> b) & (b -> a), with each side normalized once and shared
+        left, right = normalize_linear_reference(f.left), normalize_linear_reference(f.right)
+        return Not(Or(Not(Or(Not(left), right)), Not(Or(Not(right), left))))
+    if isinstance(f, Box):
+        return Box(f.group, normalize_linear_reference(f.body))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def formula_atoms_reference(f: Formula) -> frozenset[str]:
+    """Names of the atoms occurring anywhere in ``f``."""
+    if isinstance(f, Atom):
+        return frozenset((f.name,))
+    if isinstance(f, (Bottom, Top)):
+        return frozenset()
+    if isinstance(f, Not):
+        return formula_atoms_reference(f.body)
+    if isinstance(f, Box):
+        return formula_atoms_reference(f.body)
+    if isinstance(f, (Or, And, Implies, Iff)):
+        return formula_atoms_reference(f.left) | formula_atoms_reference(f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def formula_agents_reference(f: Formula) -> frozenset[int]:
+    """Agent ids occurring in box indices anywhere in ``f``."""
+    if isinstance(f, (Bottom, Top, Atom)):
+        return frozenset()
+    if isinstance(f, Not):
+        return formula_agents_reference(f.body)
+    if isinstance(f, Box):
+        return frozenset(f.group) | formula_agents_reference(f.body)
+    if isinstance(f, (Or, And, Implies, Iff)):
+        return formula_agents_reference(f.left) | formula_agents_reference(f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def boxed_atoms_reference(f: Formula) -> frozenset[Formula]:
+    """The propositional units of ``f``: atoms plus outermost boxed subformulas."""
+    if isinstance(f, (Atom, Box)):
+        return frozenset((f,))
+    if isinstance(f, (Bottom, Top)):
+        return frozenset()
+    if isinstance(f, Not):
+        return boxed_atoms_reference(f.body)
+    if isinstance(f, (Or, And, Implies, Iff)):
+        return boxed_atoms_reference(f.left) | boxed_atoms_reference(f.right)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def tautology_reference(f: Formula) -> bool:
+    """Truth-table check treating atoms and boxed subformulas as opaque units.
+
+    The whole table is evaluated at once, one bit per row: unit ``i`` is
+    true in row ``r`` iff bit ``i`` of ``r`` is set.  Memory and time
+    grow with 2^k for k distinct units; refuses to run beyond 20 units,
+    which is far above anything the proof checker meets.
+    """
+    units = boxed_atoms_reference(f)
+    if len(units) > _MAX_TAUTOLOGY_UNITS:
+        raise ResourceLimitError(
+            f"tautology check over {len(units)} units exceeds the "
+            f"{_MAX_TAUTOLOGY_UNITS}-unit guard")
+    rows = 1 << len(units)
+    memo = {}
+    for i, u in enumerate(units):
+        run = 1 << i  # rows alternate runs of 2^i with unit i false and true
+        memo[u] = int(("1" * run + "0" * run) * (rows // (2 * run)), 2)
+    full = (1 << rows) - 1
+    return truth_bits_reference(None, f, memo, full) == full
+
+
+def truth_bits_reference(m: Model, f: Formula, memo: dict, full: int) -> int:
+    """Truth set of ``f`` as a bit vector below the domain mask ``full``.
+
+    ``m`` is read only for atoms and boxes that ``memo`` does not hold.
+    """
+    hit = memo.get(f)
+    if hit is not None:
+        return hit
+    if isinstance(f, Bottom):
+        bits = 0
+    elif isinstance(f, Top):
+        bits = full
+    elif isinstance(f, Atom):
+        ws = m.valuation.get(f.name)
+        bits = ws.bits if ws is not None else 0
+    elif isinstance(f, Not):
+        bits = full ^ truth_bits_reference(m, f.body, memo, full)
+    elif isinstance(f, Or):
+        bits = (truth_bits_reference(m, f.left, memo, full)
+                | truth_bits_reference(m, f.right, memo, full))
+    elif isinstance(f, And):
+        bits = (truth_bits_reference(m, f.left, memo, full)
+                & truth_bits_reference(m, f.right, memo, full))
+    elif isinstance(f, Implies):
+        bits = ((full ^ truth_bits_reference(m, f.left, memo, full))
+                | truth_bits_reference(m, f.right, memo, full))
+    elif isinstance(f, Iff):
+        bits = full ^ (truth_bits_reference(m, f.left, memo, full)
+                       ^ truth_bits_reference(m, f.right, memo, full))
+    elif isinstance(f, Box):
+        body = truth_bits_reference(m, f.body, memo, full)
+        bits = 0
+        for w, fam in enumerate(group_families(m, f.group)):
+            if body in fam:
+                bits |= 1 << w
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    memo[f] = bits
+    return bits
+
+
+def _traversal_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+# The seven groups over agents 1-3, the agents of the formulas' boxes.
+_OVER_123 = tuple(Group(tuple(a for a in (1, 2, 3) if code >> (a - 1) & 1))
+                  for code in range(1, 8))
+
+
+@st.composite
+def _truth_cases(draw):
+    """A model's parts for ``_build``: some agents or groups over 1-3
+    own families, and some of the atoms p, q and r are valued."""
+    n = draw(st.integers(1, 3))
+    fams = st.lists(st.sets(st.integers(0, (1 << n) - 1), max_size=4),
+                    min_size=n, max_size=n)
+    general = draw(st.booleans())
+    owners = [o for o in (_OVER_123 if general else (1, 2, 3))
+              if draw(st.booleans())]
+    families = {o: draw(fams) for o in owners}
+    valuation = {a: draw(st.integers(0, (1 << n) - 1)) for a in "pqr"
+                 if draw(st.booleans())}
+    return n, general, families, valuation
+
+
+def _variants(f):
+    """``f``, its normal form, whose nodes are shared, and two formulas
+    that hold ``f`` twice."""
+    return f, normalize(f), Iff(f, f), Or(f, Not(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS)
+def test_syntax_traversals_match_reference(f):
+    for g in _variants(f):
+        assert render(g) == render_reference(g)
+        assert normalize(g) == normalize_linear_reference(g)
+        assert formula_atoms(g) == formula_atoms_reference(g)
+        assert formula_agents(g) == formula_agents_reference(g)
+        assert boxed_atoms(g) == boxed_atoms_reference(g)
+        assert is_propositional_tautology(g) == tautology_reference(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS, _truth_cases())
+def test_truth_bits_match_reference(f, case):
+    full = (1 << case[0]) - 1
+    for g in _variants(f):
+        mine, theirs = _build(*case), _build(*case)
+        assert (_truth_bits(mine, g, {}, full)
+                == truth_bits_reference(theirs, g, {}, full))
+        # the same group families derived, in the same order
+        assert list(mine._group_cache) == list(theirs._group_cache)
+
+
+@given(_FORMULAS, st.randoms(use_true_random=False))
+def test_tautology_unit_memo_matches_reference(f, rng):
+    # any bits per unit, looked up by value at each atom and box
+    full = (1 << 16) - 1
+    for g in _variants(f):
+        bits = {u: rng.getrandbits(16) for u in boxed_atoms_reference(g)}
+        memo = {id(h): bits[h] for h in nbhd.formula._subformulas(g, False)
+                if isinstance(h, (Atom, Box))}
+        assert (_truth_bits(None, g, memo, full)
+                == truth_bits_reference(None, g, dict(bits), full))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORMULAS, st.sampled_from([42, "p", None, (1,), Group.of(1)]),
+       st.data())
+def test_non_formulas_raise_the_same_type_error(f, junk, data):
+    path = data.draw(st.sampled_from([p for p, _ in _nodes(f)]))
+    g = _replace(f, path, junk)
+    case = (2, False, {1: [{1}, {2}], 2: [{3}, {0, 2}]}, {"p": 1, "q": 2})
+    pairs = [(render, render_reference),
+             (normalize, normalize_linear_reference),
+             (formula_atoms, formula_atoms_reference),
+             (formula_agents, formula_agents_reference),
+             (boxed_atoms, boxed_atoms_reference),
+             (is_propositional_tautology, tautology_reference),
+             (lambda h: _truth_bits(_build(*case), h, {}, 3),
+              lambda h: truth_bits_reference(_build(*case), h, {}, 3))]
+    for mine, theirs in pairs:
+        assert (_traversal_outcome(mine, g)
+                == _traversal_outcome(theirs, g)), mine
 
 
 # ---------------------------------------------------------------------------

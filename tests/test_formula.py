@@ -1,6 +1,8 @@
 """Formula syntax: groups, parsing, rendering, normal form, tautologies."""
 
+import ast
 import itertools
+import pathlib
 import time
 
 import pytest
@@ -12,7 +14,8 @@ from nbhd import (
     WorldSet, boxed_atoms, formula_agents, formula_atoms,
     is_propositional_tautology, normalize, parse, render, truth_set,
 )
-from nbhd.formula import read_agent, read_agents
+import nbhd
+from nbhd.formula import _CONNECTIVES, read_agent, read_agents
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -349,3 +352,49 @@ def test_tautology_unit_guard():
     big = parse(" | ".join(f"a{i}" for i in range(21)))
     with pytest.raises(ResourceLimitError):
         is_propositional_tautology(big)
+
+
+# ---------------------------------------------------------------------------
+# One table of binary connectives
+
+
+_BINARY_NAMES = {"And", "Or", "Implies", "Iff"}
+
+
+def _names(nodes):
+    return {n.id for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name)}
+
+
+def _binary_dispatch(tree):
+    """Line numbers of the class tests on a binary connective: calls to
+    isinstance or issubclass, comparisons with a type(...) call, and
+    class patterns."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass"):
+            classes = node.args[1:]
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                and side.func.id == "type"
+                for side in (node.left, *node.comparators)):
+            classes = [node.left, *node.comparators]
+        elif isinstance(node, ast.MatchClass):
+            classes = [node.cls]
+        else:
+            continue
+        if _names(classes) & _BINARY_NAMES:
+            yield node.lineno
+
+
+def test_binary_connectives_are_dispatched_only_through_the_table():
+    assert set(_CONNECTIVES) == {And, Or, Implies, Iff}
+    package = pathlib.Path(nbhd.__file__).parent
+    for name in ("formula.py", "model.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        assert list(_binary_dispatch(tree)) == [], name
+    # the check sees each form of a test on a connective's class
+    probe = ast.parse("isinstance(f, (Not, Or))\ntype(f) is Iff\n"
+                      "type(f) in (And, Box)\n"
+                      "match f:\n    case Implies(): pass\n")
+    assert list(_binary_dispatch(probe)) == [1, 2, 3, 5]

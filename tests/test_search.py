@@ -8,7 +8,7 @@ import pytest
 from nbhd import (
     AgentModel, B1, B2, B3, B4, BASE_LOGIC, BinaryConsistent, CG, CONEC, COP,
     Conec, ConstraintError, Cop, CounterExample, DI, FuzzReport, Group,
-    IntersectionClosed, LogicDescriptor, Monotone, NEC, Nec,
+    InputError, IntersectionClosed, LogicDescriptor, Monotone, NEC, Nec,
     NeighbourhoodMap, PG, PGroup, PSchema, RMG, Reflexive, ResourceLimitError,
     SA, SchemaTarget, SearchBounds, Stream, TG, Violation, World, WorldSet,
     check_condition, check_schema_semantically, close_under_intersections,
@@ -112,6 +112,23 @@ def test_random_model_needs_random_bounds():
 def test_bounds_value_errors(kw, fragment):
     with pytest.raises(ValueError) as exc:
         _bounds(**kw)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("args,kw,fragment", [
+    ((1, ("a",)), {}, "agent ids are non-negative integers, got ('a',)"),
+    (("2", (1,)), {}, "max_worlds must be an integer, got '2'"),
+    ((2, (1, None)), {}, "agent ids are non-negative integers"),
+    ((2, (True,)), dict(seed=1), "agent ids are non-negative integers"),
+    ((2, (1,)), dict(seed="7"), "seed must be an integer, got '7'"),
+    ((2, (1,)), dict(seed=7, trials=2.0), "trials must be an integer"),
+    ((2, (1,)), dict(seed=7, atoms=("p", 1)), "atoms are names"),
+    ((2, (1,)), dict(seed=7, atoms=(["p"],)), "atoms are names"),
+])
+def test_bounds_type_errors(args, kw, fragment):
+    # checked before any comparison, so no bare TypeError escapes
+    with pytest.raises(InputError) as exc:
+        SearchBounds(*args, **kw)
     assert fragment in str(exc.value)
 
 
