@@ -127,8 +127,8 @@ def _cmd_valid(args):
     if result is None:
         return 0, ["no countermodel within bounds (not a validity proof)"], payload
     m = result.model
-    where = (f"draw {result.draw}" if result.draw is not None
-             else f"index {result.index}")
+    key, at = (("draw", result.draw) if result.draw is not None
+               else ("index", result.index))
     if isinstance(result.witness, CounterExample):
         witness_text = result.witness.describe([w.label for w in m.worlds])
         payload["witness"] = counterexample_to_dict(result.witness, m)
@@ -136,11 +136,8 @@ def _cmd_valid(args):
         witness_text = f"false at {result.witness}"
         payload["witness"] = result.witness
     payload["model"] = model_to_dict(m)
-    if result.draw is not None:
-        payload["draw"] = result.draw
-    else:
-        payload["index"] = result.index
-    return 1, [f"countermodel found at {where}: {witness_text}",
+    payload[key] = at
+    return 1, [f"countermodel found at {key} {at}: {witness_text}",
                "model: " + json.dumps(payload["model"], sort_keys=True)], payload
 
 
@@ -152,16 +149,13 @@ def _cmd_schema(args):
     payload = {"command": "schema", "schema": format_schema(s),
                "mode": args.mode, "valid": verdict.valid,
                "note": verdict.note}
-    lines = []
     if verdict.valid:
-        lines.append("valid")
-        code = 0
+        code, lines = 0, ["valid"]
     else:
         payload["counterexample"] = counterexample_to_dict(
             verdict.counterexample, m)
-        lines.append("counterexample: " + verdict.counterexample.describe(
-            [w.label for w in m.worlds]))
-        code = 1
+        code, lines = 1, ["counterexample: " + verdict.counterexample.describe(
+            [w.label for w in m.worlds])]
     if verdict.note:
         lines.append(f"note: {verdict.note}")
     return code, lines, payload
@@ -173,24 +167,18 @@ def _cmd_frame(args):
     verdict = check_condition(m, c)
     payload = {"command": "frame", "condition": format_condition(c),
                "holds": verdict.holds, "note": verdict.note}
-    lines = []
     if verdict.holds:
-        lines.append("holds")
-        code = 0
+        code, lines = 0, ["holds"]
     else:
         w = verdict.witness
-        subject = (f"agent {w.subject}" if isinstance(w.subject, int)
+        kind, who = (("agent", w.subject) if isinstance(w.subject, int)
+                     else ("group", list(w.subject.members)))
+        subject = (f"agent {who}" if kind == "agent"
                    else f"group {{{w.subject}}}")
-        lines.append(f"fails: world {w.world}, {subject}, "
-                     f"set {_set_text(m, w.offending)}")
-        payload["witness"] = {
-            "world": w.world,
-            ("agent" if isinstance(w.subject, int) else "group"):
-                (w.subject if isinstance(w.subject, int)
-                 else list(w.subject.members)),
-            "set": list(_labels(m, w.offending.bits)),
-        }
-        code = 1
+        code, lines = 1, [f"fails: world {w.world}, {subject}, "
+                          f"set {_set_text(m, w.offending)}"]
+        payload["witness"] = {"world": w.world, kind: who,
+                              "set": list(_labels(m, w.offending.bits))}
     if verdict.note:
         lines.append(f"note: {verdict.note}")
     return code, lines, payload
@@ -299,7 +287,6 @@ def _reproduce_group_factivity():
     falsum-boxed formula is true at w.
     """
     m = fixture("NONREFLEXIVE")
-    ok = True
     lines = []
     checks = []
     for pool in _SEC52_POOLS:
@@ -319,15 +306,11 @@ def _reproduce_group_factivity():
         if verdict.note:
             lines.append(f"  note: {verdict.note}")
         checks.append(entry)
-    if not (checks[0]["valid"] and checks[1]["valid"]):
-        ok = False
     last = check_schema_semantically(m, TG, "definable-only", _SEC52_POOLS[2])
-    if last.valid or last.counterexample != _T12_WITNESS:
-        ok = False
     box_true = satisfies(m, "w", parse("[1,2]false"))
     lines.append(f"[1,2]false: {'true' if box_true else 'false'} at w")
-    if not box_true:
-        ok = False
+    ok = (checks[0]["valid"] and checks[1]["valid"] and box_true
+          and not last.valid and last.counterexample == _T12_WITNESS)
     lines.append(f"sec5.2 reproduction: {'ok' if ok else 'MISMATCH'}")
     payload = {"command": "reproduce", "target": "sec5.2", "ok": ok,
                "checks": checks, "box_true_at_w": box_true}

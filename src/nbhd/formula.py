@@ -18,7 +18,7 @@ which fields of a node hold its subformulas.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import FormulaSyntaxError, InputError, ResourceLimitError
@@ -38,14 +38,9 @@ class Group:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for a in self.members:  # before sorting, which needs ints
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise InputError(f"agent ids are non-negative integers, got {a!r}")
-        ms = tuple(sorted(set(self.members)))
+        ms = agent_ids(self.members)
         if not ms:
             raise InputError("a group needs at least one agent")
-        if ms[0] < 0:
-            raise InputError(f"agent ids are non-negative integers, got {ms[0]!r}")
         object.__setattr__(self, "members", ms)
 
     @classmethod
@@ -85,6 +80,19 @@ class Group:
         return f"Group({{{self}}})"
 
 
+def agent_ids(members: "tuple[object, ...]") -> tuple[int, ...]:
+    """``members`` sorted and duplicate-free, if each is an agent id (an
+    int, not a bool, not negative); else an InputError names the first
+    that is no int, or the least.  Agent ids in Python values go here."""
+    for a in members:  # before sorting, which needs ints
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise InputError(f"agent ids are non-negative integers, got {a!r}")
+    ms = tuple(sorted(set(members)))
+    if ms and ms[0] < 0:
+        raise InputError(f"agent ids are non-negative integers, got {ms[0]!r}")
+    return ms
+
+
 def read_agent(text: str, what: str) -> int:
     """The agent id written in ``text``: a run of decimal digits
     (``str.isdecimal``, as inside a formula's ``[1,2]``), with whitespace
@@ -109,7 +117,20 @@ def read_agents(text: str, what: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-class Formula:
+class _Sealed:
+    """Takes no attributes: a frozen dataclass guards its fields, but
+    hands other names set on a subclass's instance up to this base."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Formula(_Sealed):
     """Base class of all formula nodes.  Nodes are immutable and hashable."""
 
     __slots__ = ()
@@ -139,27 +160,27 @@ class Not(Formula):
 
 
 @dataclass(frozen=True, repr=False)
-class Or(Formula):
+class _Binary(Formula):
+    """The shape of the binary connectives, one subclass each.  A node
+    equals only a node of its own class."""
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    """``left | right``"""
 
 
-@dataclass(frozen=True, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """``left & right``"""
 
 
-@dataclass(frozen=True, repr=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    """``left -> right``"""
+
+
+class Iff(_Binary):
+    """``left <-> right``"""
 
 
 @dataclass(frozen=True, repr=False)
@@ -209,7 +230,9 @@ def _children(f: Formula) -> tuple[Formula, ...]:
         return (f.body,)
     if isinstance(f, (Atom, Bottom, Top)):
         return ()
-    raise TypeError(f"not a formula: {f!r}")
+    # the repr of a Formula is its rendering, which would land here again
+    shown = f"a {type(f).__name__}" if isinstance(f, Formula) else repr(f)
+    raise TypeError(f"not a formula: {shown}")
 
 
 # ---------------------------------------------------------------------------

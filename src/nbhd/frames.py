@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import InputError, ModelFormatError, UnsupportedModelError
-from .formula import Group, read_agent, read_agents
+from .formula import Group, _Sealed, agent_ids, read_agent, read_agents
 from .model import (
     AgentModel, Model, NeighbourhoodMap, WorldSet, group_families,
 )
@@ -39,27 +39,28 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Nec:
+class _AgentCondition(_Sealed):
+    """The shape of the conditions on one agent's families."""
+    agent: int
+
+    def __post_init__(self) -> None:
+        agent_ids((self.agent,))
+
+
+class Nec(_AgentCondition):
     """The full set W belongs to every family of the agent."""
-    agent: int
 
 
-@dataclass(frozen=True)
-class Conec:
+class Conec(_AgentCondition):
     """The full set W belongs to no family of the agent."""
-    agent: int
 
 
-@dataclass(frozen=True)
-class P:
+class P(_AgentCondition):
     """The empty set belongs to no family of the agent."""
-    agent: int
 
 
-@dataclass(frozen=True)
-class Cop:
+class Cop(_AgentCondition):
     """The empty set belongs to every family of the agent."""
-    agent: int
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,23 @@ class PGroup:
 
 
 @dataclass(frozen=True)
-class Reflexive:
+class _EveryCondition(_Sealed):
+    """The shape of the conditions on every family alike."""
+
+
+class Reflexive(_EveryCondition):
     """Every member of every family contains its own world."""
 
 
-@dataclass(frozen=True)
-class BinaryConsistent:
+class BinaryConsistent(_EveryCondition):
     """No family contains both a set and its complement."""
 
 
-@dataclass(frozen=True)
-class Monotone:
+class Monotone(_EveryCondition):
     """Families are closed under supersets."""
 
 
-@dataclass(frozen=True)
-class IntersectionClosed:
+class IntersectionClosed(_EveryCondition):
     """Families are closed under binary (hence finite) intersections."""
 
 

@@ -31,16 +31,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from importlib.resources import files as _package_files
 from itertools import product
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, ProofFormatError, ResourceLimitError
+from .errors import (
+    FormulaSyntaxError, InputError, ProofFormatError, ResourceLimitError,
+)
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
-    _children, is_propositional_tautology, parse, read_agent, render,
+    _children, agent_ids, is_propositional_tautology, parse, read_agent,
+    render,
 )
 from .model import (
     Model, WorldSet, _json_file, _state_cap, default_group_pool,
@@ -138,8 +141,8 @@ class SchemaId:
             raise InputError(f"schema {self.kind} "
                              + ("needs an agent" if self.kind in _AGENT_KINDS
                                 else "takes no agent"))
-        if self.agent is not None and self.agent < 0:
-            raise InputError("agent ids are non-negative")
+        if self.agent is not None:
+            agent_ids((self.agent,))
 
     def __str__(self) -> str:
         return format_schema(self)
@@ -156,24 +159,9 @@ PG = SchemaId("PG")
 RMG = SchemaId("RMG")
 
 
-def NEC(agent: int) -> SchemaId:
-    return SchemaId("NEC", agent)
-
-
-def CONEC(agent: int) -> SchemaId:
-    return SchemaId("CONEC", agent)
-
-
-def P(agent: int) -> SchemaId:
-    return SchemaId("P", agent)
-
-
-def COP(agent: int) -> SchemaId:
-    return SchemaId("COP", agent)
-
-
-def DI(agent: int) -> SchemaId:
-    return SchemaId("DI", agent)
+# The agent schemas, each a function of the agent: NEC(2) is nec:2.
+NEC, CONEC, P, COP, DI = (partial(SchemaId, kind)
+                          for kind in ("NEC", "CONEC", "P", "COP", "DI"))
 
 
 def parse_schema(text: str) -> SchemaId:
@@ -239,7 +227,10 @@ def logic_from_dict(data: object) -> LogicDescriptor:
         exts = frozenset(parse_schema(s) for s in raw)
     except InputError as exc:
         raise ProofFormatError(str(exc)) from exc
-    return LogicDescriptor(exts, bool(data.get("cg", False)))
+    cg = data.get("cg", False)
+    if not isinstance(cg, bool):
+        raise ProofFormatError("'cg' must be true or false")
+    return LogicDescriptor(exts, cg)
 
 
 def logic_to_dict(l: LogicDescriptor) -> dict:
@@ -446,16 +437,12 @@ def _b3(w, at, mem, items, rng, full):
 
 
 def _b4(w, at, mem, items, rng, full):
-    full_range = len(rng) > full  # every subset is in range
     for g, h, u, vs in items:
         target, fam_h = at[u], at[h]
         for x in mem[g]:
-            if x in target:
+            # only a superset of x in N_H can be x | psi
+            if x in target or not any(z & x == x for z in fam_h):
                 continue
-            if full_range:
-                # any superset of x in N_H gives a violating psi
-                if not any(z & x == x for z in fam_h):
-                    continue
             for y in rng:
                 if (x | y) in fam_h:
                     yield vs, (x, y)
@@ -514,18 +501,15 @@ _VIOLATIONS = {
 
 
 def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
-                         rng: Sequence[int], full_range: bool
-                         ) -> CounterExample | None:
+                         rng: Sequence[int]) -> CounterExample | None:
     n = len(m.worlds)
     extras, items, guards = _instances(s.kind, tuple(g.members for g in pool),
                                        s.agent)
     tab = [group_families(m, g) for g in pool + extras]
-    members = sorted if full_range else (
-        lambda fam: [x for x in rng if x in fam])
     test, full = _VIOLATIONS[s.kind], (1 << n) - 1
     for w in range(n):
         at = [f[w] for f in tab]
-        mem = {k: members(at[k]) for k in guards}
+        mem = {k: [x for x in rng if x in at[k]] for k in guards}
         hit = next(test(w, at, mem, items, rng, full), None)
         if hit is not None:
             vs, sets = hit
@@ -573,12 +557,12 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
     if not pool:
         raise InputError("the group pool must be nonempty")
     rng, full_range = _set_range(m, mode, pool)
-    cx = _find_counterexample(m, s, pool, rng, full_range)
+    cx = _find_counterexample(m, s, pool, rng)
     note = None
     if cx is None and mode == "definable-only" and not full_range:
         n = len(m.worlds)
         if (1 << n) <= _state_cap(64):
-            shadow = _find_counterexample(m, s, pool, list(range(1 << n)), True)
+            shadow = _find_counterexample(m, s, pool, range(1 << n))
             if shadow is not None:
                 note = (f"holds over the {len(rng)} definable sets, but over "
                         f"all {1 << n} subsets it fails at "
@@ -780,15 +764,22 @@ def _line_from_dict(raw: object, where: str) -> ProofLine:
     if kind == "mp":
         refs = just.get("from")
         if (not isinstance(refs, list) or len(refs) != 2
-                or not all(isinstance(r, int) for r in refs)):
+                or not all(type(r) is int for r in refs)):
             raise ProofFormatError(f"{where}: mp needs 'from': [i, j]")
         return ProofLine(formula, MP(refs[0], refs[1]))
     if kind == "re":
-        if not isinstance(just.get("from"), int) \
+        if type(just.get("from")) is not int \
                 or not isinstance(just.get("group"), list):
             raise ProofFormatError(f"{where}: re needs 'from' and 'group'")
         return ProofLine(formula, RE(just["from"], Group(tuple(just["group"]))))
     raise ProofFormatError(f"{where}: unknown justification {kind!r}")
+
+
+def _parsed(text: str, where: str) -> Formula:
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        raise ProofFormatError(f"{where}: {exc}") from exc
 
 
 def proof_from_dict(data: object) -> ProofFile:
@@ -803,7 +794,7 @@ def proof_from_dict(data: object) -> ProofFile:
     for i, raw in enumerate(raw_lines, start=1):
         try:
             lines.append(_line_from_dict(raw, f"line {i}"))
-        except InputError as exc:  # a bad schema name or agent list
+        except (InputError, FormulaSyntaxError) as exc:  # bindings too
             raise ProofFormatError(f"line {i}: {exc}") from exc
 
     gamma = None
@@ -812,10 +803,10 @@ def proof_from_dict(data: object) -> ProofFile:
         if not isinstance(raw_gamma, list) \
                 or not all(isinstance(s, str) for s in raw_gamma):
             raise ProofFormatError("'gamma' must be a list of formula strings")
-        gamma = tuple(parse(s) for s in raw_gamma)
+        gamma = tuple(_parsed(s, "'gamma'") for s in raw_gamma)
     if "phi" in data and not isinstance(data["phi"], str):
         raise ProofFormatError("'phi' must be a formula string")
-    phi = parse(data["phi"]) if "phi" in data else None
+    phi = _parsed(data["phi"], "'phi'") if "phi" in data else None
     if gamma is not None and phi is None:
         raise ProofFormatError("'gamma' without 'phi' makes no goal")
     return ProofFile(Proof(tuple(lines)), logic, gamma, phi)

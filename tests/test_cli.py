@@ -383,6 +383,22 @@ _TAUT = {"formula": "p <-> p", "just": {"type": "taut"}}
                                  "just": {"type": "re", "from": 1,
                                           "group": [[1]]}}]},
      "line 2: agent ids are non-negative integers, got [1]"),
+    ("proof", {"lines": [_TAUT], "logic": {"cg": "no"}},
+     "'cg' must be true or false"),
+    ("proof", {"lines": [_TAUT, _TAUT, {"formula": "p", "just": {
+        "type": "mp", "from": [True, True]}}]},
+     "line 3: mp needs 'from': [i, j]"),
+    ("proof", {"lines": [_TAUT, {"formula": "[1]p <-> [1]p", "just": {
+        "type": "re", "from": True, "group": [1]}}]},
+     "line 2: re needs 'from' and 'group'"),
+    ("proof", {"lines": [_TAUT, {"formula": "p -> ", "just": {"type": "taut"}}]},
+     "line 2: expected a formula (at position 5)"),
+    ("proof", {"lines": [_TAUT, {"formula": "[1]p -> p", "just": {
+        "type": "axiom", "schema": "tg", "binding": {"G": [1], "phi": "p &"}}}]},
+     "line 2: expected a formula (at position 3)"),
+    ("proof", {"lines": [_TAUT], "gamma": ["p &"], "phi": "p"},
+     "'gamma': expected a formula (at position 3)"),
+    ("proof", {"lines": [_TAUT], "phi": "(p"}, "'phi': expected ')' (at position 2)"),
 ])
 def test_malformed_files_exit_2(capsys, tmp_path, kind, data, message):
     path = tmp_path / "bad.json"

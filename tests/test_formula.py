@@ -1,6 +1,7 @@
 """Formula syntax: groups, parsing, rendering, normal form, tautologies."""
 
 import ast
+import dataclasses
 import itertools
 import pathlib
 import time
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nbhd import (
-    AgentModel, And, Atom, Bottom, Box, FormulaSyntaxError, Group, Iff,
-    Implies, InputError, NeighbourhoodMap, Not, Or, ResourceLimitError, Top, World,
-    WorldSet, boxed_atoms, formula_agents, formula_atoms,
-    is_propositional_tautology, normalize, parse, render, truth_set,
+    AgentModel, And, Atom, BinaryConsistent, Bottom, Box, Conec, Cop,
+    FormulaSyntaxError, Group, Iff, Implies, InputError, IntersectionClosed,
+    Monotone, Nec, NeighbourhoodMap, Not, Or, PCondition, Reflexive,
+    ResourceLimitError, Top, World, WorldSet, boxed_atoms, formula_agents,
+    formula_atoms, is_propositional_tautology, normalize, parse, render,
+    truth_set,
 )
 import nbhd
 from nbhd.formula import _CONNECTIVES, read_agent, read_agents
@@ -398,3 +401,69 @@ def test_binary_connectives_are_dispatched_only_through_the_table():
                       "type(f) in (And, Box)\n"
                       "match f:\n    case Implies(): pass\n")
     assert list(_binary_dispatch(probe)) == [1, 2, 3, 5]
+
+
+# ---------------------------------------------------------------------------
+# Shared shapes: the binary connectives, the conditions on one agent and
+# the conditions on every family each take their fields from one dataclass
+
+_SHAPES = (
+    ((Or, And, Implies, Iff), (P, Q), ("left", "right")),
+    ((Nec, Conec, PCondition, Cop), (1,), ("agent",)),
+    ((Reflexive, BinaryConsistent, Monotone, IntersectionClosed), (), ()),
+)
+# the reprs at the commit before the shapes were shared
+_REPRS = {Or: "p | q", And: "p & q", Implies: "p -> q", Iff: "p <-> q",
+          Nec: "Nec(agent=1)", Conec: "Conec(agent=1)", PCondition: "P(agent=1)",
+          Cop: "Cop(agent=1)", Reflexive: "Reflexive()",
+          BinaryConsistent: "BinaryConsistent()", Monotone: "Monotone()",
+          IntersectionClosed: "IntersectionClosed()"}
+
+
+@pytest.mark.parametrize("cls,siblings,args,names", [
+    (cls, siblings, args, names)
+    for siblings, args, names in _SHAPES for cls in siblings])
+def test_shared_shapes_keep_their_classes_apart(cls, siblings, args, names):
+    f = cls(*args)
+    # declared once, on the shape, and documented on the class
+    assert "__dataclass_fields__" not in vars(cls) and cls.__doc__
+    assert tuple(fl.name for fl in dataclasses.fields(f)) == names
+    # equal fields never make two classes equal
+    assert [g for g in siblings if g(*args) == f] == [cls]
+    assert f == cls(*args) and hash(f) == hash(args) == hash(cls(*args))
+    assert repr(f) == _REPRS[cls]
+    for name in names + ("extra",):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, 7)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(f, name)
+    assert not hasattr(f, "extra")
+    if names == ("left", "right"):
+        assert type(f)(f.left, f.right) == f
+
+
+# ---------------------------------------------------------------------------
+# Traversals of a Formula outside the table
+
+
+class _Stray(nbhd.Formula):
+    pass
+
+
+class _OrLike(Or):
+    pass
+
+
+@pytest.mark.parametrize("f,name", [
+    (nbhd.Formula(), "Formula"), (_Stray(), "_Stray"), (_OrLike(P, Q), "_OrLike"),
+])
+@pytest.mark.parametrize("traverse", [
+    render, normalize, formula_atoms, is_propositional_tautology,
+    lambda f: truth_set(AgentModel((World(0, "w"),), {}, {}), f),
+])
+def test_a_stray_formula_is_named_by_its_class(f, name, traverse):
+    # its repr is its rendering, so the error must not call it
+    with pytest.raises(TypeError) as exc:
+        traverse(Not(f))
+    assert str(exc.value) == f"not a formula: a {name}"

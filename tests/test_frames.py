@@ -7,7 +7,8 @@ import pytest
 
 from nbhd import (
     AgentModel, BinaryConsistent, ConditionVerdict, Conec, Cop, FrameWitness,
-    Group, IntersectionClosed, LogicDescriptor, ModelFormatError, Monotone,
+    Group, InputError, IntersectionClosed, LogicDescriptor, ModelFormatError,
+    Monotone,
     Nec, NeighbourhoodMap, PGroup, Reflexive, SchemaId, SearchBounds,
     UnsupportedModelError, World, WorldSet, check_condition,
     check_schema_semantically, close_under_intersections,
@@ -221,6 +222,15 @@ def test_intersection_closure_preserves_reflexive_nec_cop_conec():
 ])
 def test_condition_name_round_trip(c):
     assert parse_condition(format_condition(c)) == c
+
+
+@pytest.mark.parametrize("cls", [Nec, Conec, P, Cop])
+@pytest.mark.parametrize("agent", ["x", -1, True, 1.0, None])
+def test_agent_conditions_take_only_agent_ids(cls, agent):
+    # so format_condition never writes a name parse_condition rejects
+    with pytest.raises(InputError) as exc:
+        cls(agent)
+    assert str(exc.value) == f"agent ids are non-negative integers, got {agent!r}"
 
 
 def test_parse_condition_flexible_spelling():

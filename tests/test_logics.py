@@ -33,6 +33,11 @@ def test_schema_id_validation():
         SchemaId("NEC")
     with pytest.raises(ValueError):
         SchemaId("NEC", -1)
+    for agent in (-1, True, "x", 1.0):
+        with pytest.raises(InputError) as exc:
+            SchemaId("NEC", agent)
+        assert str(exc.value) == (
+            f"agent ids are non-negative integers, got {agent!r}")
 
 
 @pytest.mark.parametrize("s", [
