@@ -21,7 +21,7 @@ import re
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import FormulaSyntaxError, InputError, ResourceLimitError
+from .errors import FormulaSyntaxError, InputError, guard
 
 __all__ = [
     "Group", "Formula", "Bottom", "Top", "Atom", "Not", "Or", "And",
@@ -80,16 +80,17 @@ class Group:
         return f"Group({{{self}}})"
 
 
-def agent_ids(members: "tuple[object, ...]") -> tuple[int, ...]:
+def agent_ids(members: "tuple[object, ...]",
+              error: type[Exception] = InputError) -> tuple[int, ...]:
     """``members`` sorted and duplicate-free, if each is an agent id (an
-    int, not a bool, not negative); else an InputError names the first
-    that is no int, or the least.  Agent ids in Python values go here."""
+    int, not a bool, not negative); else ``error`` names the first that
+    is no int, or the least.  Agent ids in Python values go here."""
     for a in members:  # before sorting, which needs ints
         if not isinstance(a, int) or isinstance(a, bool):
-            raise InputError(f"agent ids are non-negative integers, got {a!r}")
+            raise error(f"agent ids are non-negative integers, got {a!r}")
     ms = tuple(sorted(set(members)))
     if ms and ms[0] < 0:
-        raise InputError(f"agent ids are non-negative integers, got {ms[0]!r}")
+        raise error(f"agent ids are non-negative integers, got {ms[0]!r}")
     return ms
 
 
@@ -378,6 +379,8 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, raising FormulaSyntaxError on bad input."""
+    if not isinstance(text, str):
+        raise InputError(f"parse needs a string, got {type(text).__name__}")
     parser = _Parser(text)
     node, _ = parser.formula()
     kind, _, pos = parser.tokens[parser.pos]
@@ -466,9 +469,6 @@ def boxed_atoms(f: Formula) -> frozenset[Formula]:
                      if isinstance(g, (Atom, Box)))
 
 
-_MAX_TAUTOLOGY_UNITS = 20
-
-
 def is_propositional_tautology(f: Formula) -> bool:
     """Truth-table check treating atoms and boxed subformulas as opaque units.
 
@@ -480,10 +480,7 @@ def is_propositional_tautology(f: Formula) -> bool:
     from .model import _truth_bits  # model imports this module
 
     units = boxed_atoms(f)
-    if len(units) > _MAX_TAUTOLOGY_UNITS:
-        raise ResourceLimitError(
-            f"tautology check over {len(units)} units exceeds the "
-            f"{_MAX_TAUTOLOGY_UNITS}-unit guard")
+    guard("units", len(units))
     rows = 1 << len(units)
     bits = {}
     for i, u in enumerate(units):

@@ -38,7 +38,7 @@ from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    FormulaSyntaxError, InputError, ProofFormatError, ResourceLimitError,
+    FormulaSyntaxError, InputError, ProofFormatError, guard, limit,
 )
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
@@ -46,7 +46,7 @@ from .formula import (
     render,
 )
 from .model import (
-    Model, WorldSet, _json_file, _state_cap, default_group_pool,
+    Model, WorldSet, _json_file, default_group_pool,
     definable_sets, group_families,
 )
 
@@ -197,6 +197,9 @@ class LogicDescriptor:
     replace_b1_with_cg: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.replace_b1_with_cg, bool):
+            raise InputError("replace_b1_with_cg must be a bool, got "
+                             f"{self.replace_b1_with_cg!r}")
         exts = frozenset(self.extensions)
         for s in exts:
             if s.kind in _BASE_KINDS:
@@ -525,11 +528,7 @@ def _set_range(m: Model, mode: str, pool: tuple[Group, ...]
                ) -> tuple[list[int], bool]:
     n = len(m.worlds)
     if mode == "all-subsets":
-        cap = _state_cap(64)
-        if (1 << n) > cap:
-            raise ResourceLimitError(
-                f"all-subsets mode over {n} worlds needs {1 << n} sets, "
-                f"over the {cap}-state guard; use definable-only mode")
+        guard("subsets", 1 << n, worlds=n)
         return list(range(1 << n)), True
     if mode == "definable-only":
         bits = [ws.bits for ws in definable_sets(m, pool)]
@@ -561,7 +560,7 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
     note = None
     if cx is None and mode == "definable-only" and not full_range:
         n = len(m.worlds)
-        if (1 << n) <= _state_cap(64):
+        if (1 << n) <= limit("subsets"):
             shadow = _find_counterexample(m, s, pool, range(1 << n))
             if shadow is not None:
                 note = (f"holds over the {len(rng)} definable sets, but over "
@@ -628,6 +627,11 @@ class ProofVerdict:
     reason: str | None = None
 
 
+def _earlier(ref: object, idx: int) -> bool:
+    """Whether ``ref`` cites a line before line ``idx``: an int, no bool."""
+    return type(ref) is int and 1 <= ref < idx
+
+
 def check_proof(p: Proof, l: LogicDescriptor) -> ProofVerdict:
     """Verify a Hilbert-style proof line by line.
 
@@ -661,7 +665,7 @@ def check_proof(p: Proof, l: LogicDescriptor) -> ProofVerdict:
                     False, idx,
                     f"not an instance of {format_schema(j.schema)}")
         elif isinstance(j, MP):
-            if not (1 <= j.premise < idx and 1 <= j.implication < idx):
+            if not (_earlier(j.premise, idx) and _earlier(j.implication, idx)):
                 return ProofVerdict(False, idx,
                                     "modus ponens must cite earlier lines")
             premise = p.lines[j.premise - 1].formula
@@ -671,7 +675,7 @@ def check_proof(p: Proof, l: LogicDescriptor) -> ProofVerdict:
                     False, idx,
                     f"line {j.implication} is not (line {j.premise} -> this line)")
         elif isinstance(j, RE):
-            if not 1 <= j.source < idx:
+            if not _earlier(j.source, idx):
                 return ProofVerdict(False, idx, "RE must cite an earlier line")
             source = p.lines[j.source - 1].formula
             if not isinstance(source, Iff):

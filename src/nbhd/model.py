@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
-    InputError, ModelFormatError, NbhdError, ResourceLimitError,
-    UnknownWorldError,
+    InputError, ModelFormatError, NbhdError, UnknownWorldError, guard, limit,
 )
 from .formula import (
     _CONNECTIVES, Atom, Bottom, Box, Formula, Group, Not, Or, Top, _children,
-    read_agent, read_agents, render,
+    agent_ids, read_agent, read_agents, render,
 )
 
 __all__ = [
@@ -41,29 +39,6 @@ __all__ = [
     "world_index", "mentioned_agents", "default_group_pool", "unions_up_to",
     "FIXTURE_NAMES",
 ]
-
-MAX_GROUP_SIZE = 8
-_PRODUCT_LIMIT = 1_000_000
-
-
-def _state_cap(default: int) -> int:
-    """Resource guard, loweable (never raisable) via NBHD_MAX_STATES.
-
-    Every guard reads the variable through here, so a value that is not
-    a positive integer fails the same way in each of them.
-    """
-    raw = os.environ.get("NBHD_MAX_STATES")
-    if not raw:
-        return default
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ResourceLimitError(
-            f"NBHD_MAX_STATES={raw!r} is not a positive integer")
-    return min(default, cap)
-
 
 @dataclass(frozen=True)
 class World:
@@ -79,8 +54,10 @@ class WorldSet:
     size: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.size):
-            raise InputError(f"bits {self.bits} out of range for {self.size} worlds")
+        bits, size = self.bits, self.size
+        if not (isinstance(bits, int) and isinstance(size, int) and size >= 0
+                and 0 <= bits < (1 << size)):
+            raise InputError(f"bits {bits!r} out of range for {size!r} worlds")
 
     @classmethod
     def empty(cls, size: int) -> "WorldSet":
@@ -152,8 +129,8 @@ class NeighbourhoodMap:
         top = 1 << size
         for fam in fams:
             for bits in fam:
-                if not 0 <= bits < top:
-                    raise InputError(f"member {bits} out of range for {size} worlds")
+                if not isinstance(bits, int) or not 0 <= bits < top:
+                    raise InputError(f"member {bits!r} out of range for {size} worlds")
         self.size = size
         self.families = fams
 
@@ -181,7 +158,9 @@ class _SharedMap(NeighbourhoodMap):
         self._memo = {}
 
 
-def _check_worlds(worlds: tuple[World, ...]) -> None:
+def _check_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
+                 maps: Mapping[object, NeighbourhoodMap], what: str) -> None:
+    """The checks both model kinds make; ``maps`` are keyed by ``what``."""
     if not worlds:
         raise ModelFormatError("a model needs at least one world")
     labels = set()
@@ -191,20 +170,17 @@ def _check_worlds(worlds: tuple[World, ...]) -> None:
         if w.label in labels:
             raise ModelFormatError(f"duplicate world label {w.label!r}")
         labels.add(w.label)
-
-
-def _check_valuation(valuation: Mapping[str, WorldSet], size: int) -> None:
+    size = len(worlds)
     for name, ws in valuation.items():
         if ws.size != size:
             raise ModelFormatError(f"valuation of {name!r} has wrong domain size")
-
-
-def _check_agents(agents: Mapping[int, NeighbourhoodMap], size: int) -> None:
-    for agent, nm in agents.items():
-        if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
-            raise ModelFormatError(f"agent ids are non-negative ints, got {agent!r}")
+    for key, nm in maps.items():
+        if not isinstance(nm, NeighbourhoodMap):
+            raise ModelFormatError(f"{what} {key} needs a NeighbourhoodMap, "
+                                   f"got {type(nm).__name__}")
         if nm.size != size or len(nm.families) != size:
-            raise ModelFormatError(f"neighbourhood map of agent {agent} has wrong size")
+            raise ModelFormatError(f"neighbourhood map of {what} {key} has "
+                                   "wrong size")
 
 
 @dataclass(frozen=True)
@@ -217,18 +193,14 @@ class AgentModel:
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_worlds(self.worlds)
-        n = len(self.worlds)
-        _check_valuation(self.valuation, n)
-        _check_agents(self.agents, n)
+        agent_ids(tuple(self.agents), ModelFormatError)
+        _check_model(self.worlds, self.valuation, self.agents, "agent")
 
 
 def _agent_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
                  agents: Mapping[int, NeighbourhoodMap]) -> AgentModel:
-    """``AgentModel(worlds, valuation, agents)`` for a caller that has
-    already run ``_check_worlds`` and ``_check_valuation`` on these
-    worlds and valuation; only the agent mapping is checked here."""
-    _check_agents(agents, len(worlds))
+    """``AgentModel(worlds, valuation, agents)`` without its checks, for
+    search, which builds these fields from checked bounds."""
     m = object.__new__(AgentModel)
     vars(m).update(worlds=worlds, valuation=valuation, agents=agents,
                    _group_cache={})
@@ -250,14 +222,10 @@ class GeneralModel:
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_worlds(self.worlds)
-        n = len(self.worlds)
-        _check_valuation(self.valuation, n)
-        for g, nm in self.groups.items():
+        for g in self.groups:
             if not isinstance(g, Group):
                 raise ModelFormatError(f"group keys must be Group, got {g!r}")
-            if nm.size != n or len(nm.families) != n:
-                raise ModelFormatError(f"neighbourhood map of group {g} has wrong size")
+        _check_model(self.worlds, self.valuation, self.groups, "group")
 
 
 # ``|`` rather than typing.Union, whose cache would keep these classes,
@@ -301,24 +269,21 @@ def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
         out = nm.families if nm is not None else (frozenset((0,)),) * n
         cache[g] = out
         return out
-    if len(g) > MAX_GROUP_SIZE:
-        raise ResourceLimitError(
-            f"group {g} exceeds the size-{MAX_GROUP_SIZE} derivation guard")
+    if len(g) > limit("group-size"):
+        guard("group-size", len(g), group=g)
     member_fams = []
     for agent in g:
         nm = m.agents.get(agent)
         member_fams.append(nm.families if nm is not None
                            else (frozenset(),) * n)
-    limit = _state_cap(_PRODUCT_LIMIT)
+    cap = limit("product")
     per_world = []
     for w in range(n):
         product = 1
         for fams in member_fams:
             product *= len(fams[w])
-        if product > limit:
-            raise ResourceLimitError(
-                f"group {g} needs {product} intersections at world "
-                f"{m.worlds[w].label}, over the {limit} guard")
+        if product > cap:
+            guard("product", product, group=g, world=m.worlds[w].label)
         acc: frozenset[int] | None = None
         for fams in member_fams:
             fam = fams[w]

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import ConstraintError, InputError, ResourceLimitError
-from .formula import Formula, Group, render
+from .errors import ConstraintError, InputError, guard, limit
+from .formula import Formula, Group, agent_ids, render
 from .frames import (
     BinaryConsistent, Conec, Cop, FrameCondition, Nec, P, _BY_CLASS,
     _CONDITIONS, check_condition, format_condition,
@@ -31,8 +31,7 @@ from .logics import (
 )
 from .model import (
     AgentModel, NeighbourhoodMap, World, WorldSet, _SharedMap, _agent_model,
-    _check_valuation, _check_worlds, _state_cap, model_to_dict, truth_set,
-    unions_up_to,
+    model_to_dict, truth_set, unions_up_to,
 )
 
 __all__ = [
@@ -86,11 +85,6 @@ class Stream:
 # Bounds
 
 
-def _whole(value: object) -> bool:
-    """Whether ``value`` is an int and no bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SearchBounds:
     """Search space plus generation mode.
@@ -113,15 +107,13 @@ class SearchBounds:
     def __post_init__(self) -> None:
         for name in ("max_worlds", "trials", "seed"):
             value = getattr(self, name)
-            if not (_whole(value) or name == "seed" and value is None):
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    or name == "seed" and value is None):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.max_worlds < 1:
             raise InputError("max_worlds must be at least 1")
         agents = tuple(self.agents)
-        if not all(_whole(a) and a >= 0 for a in agents):
-            raise InputError("agent ids are non-negative integers, "
-                             f"got {agents!r}")
-        if not agents or len(set(agents)) != len(agents):
+        if not agents or len(agent_ids(agents)) != len(agents):
             raise InputError("agents must be distinct and nonempty")
         object.__setattr__(self, "agents", agents)
         atoms = tuple(self.atoms)
@@ -148,14 +140,10 @@ class SearchBounds:
                 raise InputError("random mode requires an explicit seed")
             if self.trials < 1:
                 raise InputError("trials must be at least 1")
-            if self.max_worlds > 6:
-                raise ResourceLimitError(
-                    "random generation supports at most 6 worlds")
+            guard("random-worlds", self.max_worlds)
         elif self.mode == "exhaustive":
-            if self.max_worlds > 2 or len(agents) > 2 or len(atoms) > 2:
-                raise ResourceLimitError(
-                    "exhaustive mode is guarded to at most 2 worlds, "
-                    "2 agents and 2 atoms")
+            guard("exhaustive-size",
+                  max(self.max_worlds, len(agents), len(atoms)))
         else:
             raise InputError(f"unknown mode {self.mode!r}")
 
@@ -234,7 +222,7 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
 
     _repair(families, n, bounds.frame_constraints)
 
-    model = AgentModel(
+    model = _agent_model(
         worlds, valuation,
         {a: NeighbourhoodMap(n, fams) for a, fams in families.items()})
     for c in bounds.frame_constraints:
@@ -250,11 +238,6 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
-# Models in the largest space SearchBounds admits: 2 agents and 2 atoms
-# over 1 world (4 * 4^2) plus over 2 worlds (16 * 16^4).
-_EXHAUSTIVE_LIMIT = 64 + 1_048_576
-
-
 def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     """Every model within the bounds, frame constraints as filters.
 
@@ -265,13 +248,12 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     largest space the bounds admit, whether or not a constraint filters
     it out; NBHD_MAX_STATES may lower that cap.  Yielded models may
     share their per-agent maps, which are then ``_SharedMap`` objects
-    and keep the results of ``check_condition`` on them.  The worlds are
-    checked once per domain size and each valuation once, so a candidate
-    only has its agent mapping checked.
+    and keep the results of ``check_condition`` on them.  Candidates are
+    built from the checked bounds and are not checked again.
     """
     if bounds.mode != "exhaustive":
         raise InputError("exhaustive_models needs bounds in exhaustive mode")
-    cap = _state_cap(_EXHAUSTIVE_LIMIT)
+    cap = limit("visits")
     visited = 0
     # a map serves more than one candidate only with several agents or
     # any atom; a memo on maps of one candidate each raised the median
@@ -280,7 +262,6 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
                else NeighbourhoodMap)
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(World(i, f"w{i}") for i in range(n))
-        _check_worlds(worlds)
         n_sets = 1 << n
         # one map per tuple of per-world family codes, first world slowest
         fams = [frozenset(s for s in range(n_sets) if (code >> s) & 1)
@@ -291,13 +272,10 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
                                         repeat=len(bounds.atoms)):
             valuation = {atom: WorldSet(bits, n)
                          for atom, bits in zip(bounds.atoms, vcodes)}
-            _check_valuation(valuation, n)
             for chosen in itertools.product(maps, repeat=len(bounds.agents)):
                 visited += 1
                 if visited > cap:
-                    raise ResourceLimitError(
-                        f"exhaustive search visited more than {cap} models "
-                        "(NBHD_MAX_STATES)")
+                    guard("visits", visited)
                 model = _agent_model(worlds, valuation,
                                      dict(zip(bounds.agents, chosen)))
                 if all(check_condition(model, c).holds

@@ -93,10 +93,10 @@ from nbhd import (
     required_constraints, truth_set,
 )
 import nbhd.formula
+from nbhd.errors import limit
 from nbhd.frames import P
 from nbhd.logics import _AGENT_KINDS, _KINDS, _set_range
-from nbhd.model import Model, _SharedMap, _state_cap, _truth_bits
-from nbhd.search import _EXHAUSTIVE_LIMIT
+from nbhd.model import Model, _SharedMap, _truth_bits
 from test_acceptance import _MUTATIONS
 from test_formula import _FORMULAS
 
@@ -310,7 +310,7 @@ def check_schema_reference(m: Model, s: SchemaId, mode: str = "all-subsets",
     note = None
     if cx is None and mode == "definable-only" and not full_range:
         n = len(m.worlds)
-        if (1 << n) <= _state_cap(64):
+        if (1 << n) <= limit("subsets"):
             shadow = _find_counterexample(m, s, pool, list(range(1 << n)), True)
             if shadow is not None:
                 note = (f"holds over the {len(rng)} definable sets, but over "
@@ -792,7 +792,7 @@ def exhaustive_reference(bounds: SearchBounds) -> Iterator[AgentModel]:
     """
     if bounds.mode != "exhaustive":
         raise ValueError("exhaustive_models needs bounds in exhaustive mode")
-    cap = _state_cap(_EXHAUSTIVE_LIMIT)
+    cap = limit("visits")
     visited = 0
     for n in range(1, bounds.max_worlds + 1):
         worlds = tuple(World(i, f"w{i}") for i in range(n))

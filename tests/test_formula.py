@@ -120,6 +120,13 @@ def test_parse_boxes():
     assert parse("[1]p & q") == And(Box(Group.of(1), P), Q)
 
 
+@pytest.mark.parametrize("text", [5, None, b"p", ["p"]])
+def test_parse_rejects_non_strings(text):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    assert str(exc.value) == f"parse needs a string, got {type(text).__name__}"
+
+
 def test_parse_error_positions():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse("p &")

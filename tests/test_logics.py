@@ -81,6 +81,17 @@ def test_logic_descriptor():
         LogicDescriptor(frozenset({B1}))
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, "true"])
+def test_logic_descriptor_cg_flag_is_a_bool(flag):
+    # a truthy non-bool used to drop B1 and write a logic that did not load
+    with pytest.raises(InputError) as exc:
+        LogicDescriptor(frozenset(), flag)
+    assert str(exc.value) == f"replace_b1_with_cg must be a bool, got {flag!r}"
+    for cg in (False, True):
+        l = LogicDescriptor(frozenset(), cg)
+        assert logic_from_dict(logic_to_dict(l)) == l
+
+
 def test_logic_dict_round_trip():
     assert logic_from_dict(None) == BASE_LOGIC
     for l in (BASE_LOGIC,
@@ -372,6 +383,21 @@ def test_re_accept_and_reject():
     forward = (ProofLine(parse("[1]p <-> [1]p"), RE(1, G1)),)
     assert check_proof(Proof(forward), BASE_LOGIC) == ProofVerdict(
         False, 1, "RE must cite an earlier line")
+
+
+@pytest.mark.parametrize("ref", [True, False, "1", 1.0, None, -1, 0])
+def test_line_references_must_be_ints(ref):
+    # True == 1, so a bool read as line 1 and such a proof was accepted
+    taut = _taut("p -> p")
+    mp = (taut, ProofLine(parse("p -> p"), MP(ref, 1)))
+    assert check_proof(Proof(mp), BASE_LOGIC) == ProofVerdict(
+        False, 2, "modus ponens must cite earlier lines")
+    mp = (taut, ProofLine(parse("p -> p"), MP(1, ref)))
+    assert check_proof(Proof(mp), BASE_LOGIC) == ProofVerdict(
+        False, 2, "modus ponens must cite earlier lines")
+    re = (_taut("p <-> p"), ProofLine(parse("[1]p <-> [1]p"), RE(ref, G1)))
+    assert check_proof(Proof(re), BASE_LOGIC) == ProofVerdict(
+        False, 2, "RE must cite an earlier line")
 
 
 def test_reject_empty_proof_and_unknown_justification():

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from nbhd import (
-    AgentModel, FIXTURE_NAMES, GeneralModel, Group, ModelFormatError,
+    AgentModel, FIXTURE_NAMES, GeneralModel, Group, InputError,
+    ModelFormatError,
     NeighbourhoodMap, ResourceLimitError, SearchBounds, UnknownWorldError,
     World, WorldSet, default_group_pool, definable_sets, fixture,
     group_families, group_neighbourhood, mentioned_agents, model_from_dict,
@@ -50,6 +51,21 @@ def test_worldset_range_check():
         WorldSet(8, 3)
     with pytest.raises(ValueError):
         WorldSet(-1, 3)
+
+
+@pytest.mark.parametrize("bits,size", [("x", 2), (1, "2"), (None, 2),
+                                       (0, -1), (1.0, 2)])
+def test_worldset_rejects_non_ints(bits, size):
+    with pytest.raises(InputError) as exc:
+        WorldSet(bits, size)
+    assert str(exc.value) == f"bits {bits!r} out of range for {size!r} worlds"
+
+
+@pytest.mark.parametrize("member", ["a", None, 1.5, (1,)])
+def test_neighbourhood_map_rejects_non_int_members(member):
+    with pytest.raises(InputError) as exc:
+        NeighbourhoodMap(2, [{member}, {1}])
+    assert str(exc.value) == f"member {member!r} out of range for 2 worlds"
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +126,25 @@ def test_pointwise_intersection_hand_example():
 @pytest.mark.parametrize("agent", [-1, True, False, "1", 1.0])
 def test_agent_model_rejects_bad_agent_ids(agent):
     nm = NeighbourhoodMap(1, [set()])
-    with pytest.raises(ModelFormatError, match="non-negative ints"):
+    with pytest.raises(ModelFormatError, match="non-negative integers"):
         AgentModel((World(0, "w"),), {}, {agent: nm})
+
+
+@pytest.mark.parametrize("make,key", [
+    (lambda nm: AgentModel((World(0, "w"),), {}, {1: nm}), "agent 1"),
+    (lambda nm: GeneralModel((World(0, "w"),), {}, {G12: nm}), "group 1,2"),
+])
+@pytest.mark.parametrize("bad", [[set()], None, {0: {1}}])
+def test_models_reject_maps_that_are_no_neighbourhood_map(make, key, bad):
+    with pytest.raises(ModelFormatError) as exc:
+        make(bad)
+    assert str(exc.value) == (
+        f"{key} needs a NeighbourhoodMap, got {type(bad).__name__}")
 
 
 def test_private_constructor_builds_the_same_model():
     # exhaustive search builds its candidates with _agent_model: it must
-    # set every field AgentModel sets and still check the agent mapping
+    # set every field AgentModel sets, and AgentModel checks the agents
     worlds = (World(0, "u"), World(1, "v"))
     valuation = {"p": WorldSet(1, 2)}
     agents = {1: NeighbourhoodMap(2, [{1}, {3}]),
@@ -128,9 +156,9 @@ def test_private_constructor_builds_the_same_model():
     assert built._group_cache is not _agent_model(worlds, valuation,
                                                   agents)._group_cache
     with pytest.raises(ModelFormatError, match="wrong size"):
-        _agent_model(worlds, valuation, {1: NeighbourhoodMap(1, [set()])})
-    with pytest.raises(ModelFormatError, match="non-negative ints"):
-        _agent_model(worlds, valuation, {-1: agents[1]})
+        AgentModel(worlds, valuation, {1: NeighbourhoodMap(1, [set()])})
+    with pytest.raises(ModelFormatError, match="non-negative integers"):
+        AgentModel(worlds, valuation, {-1: agents[1]})
 
 
 def test_absent_agent_has_empty_family():

@@ -116,7 +116,7 @@ def test_bounds_value_errors(kw, fragment):
 
 
 @pytest.mark.parametrize("args,kw,fragment", [
-    ((1, ("a",)), {}, "agent ids are non-negative integers, got ('a',)"),
+    ((1, ("a",)), {}, "agent ids are non-negative integers, got 'a'"),
     (("2", (1,)), {}, "max_worlds must be an integer, got '2'"),
     ((2, (1, None)), {}, "agent ids are non-negative integers"),
     ((2, (True,)), dict(seed=1), "agent ids are non-negative integers"),
