@@ -39,7 +39,7 @@ from .logics import (
     counterexample_to_dict, format_schema, load_proof, parse_schema,
 )
 from .model import (
-    FIXTURE_NAMES, WorldSet, _labels, fixture,
+    FIXTURE_NAMES, WorldSet, _first_outside, _labels, fixture,
     load_model, model_to_dict, satisfies, save_model, truth_set,
 )
 from .search import (
@@ -84,11 +84,10 @@ def _cmd_check(args):
         payload.update(world=args.world, holds=holds)
         word = "true" if holds else "false"
         return (0 if holds else 1), [f"{word} at {args.world}"], payload
-    held = truth_set(m, f)
-    for w in m.worlds:
-        if w.index not in held:
-            payload.update(holds=False, witness=w.label)
-            return 1, [f"false at {w.label}"], payload
+    witness = _first_outside(m, truth_set(m, f))
+    if witness is not None:
+        payload.update(holds=False, witness=witness)
+        return 1, [f"false at {witness}"], payload
     payload.update(holds=True)
     return 0, ["valid on the model"], payload
 
@@ -97,25 +96,19 @@ def _cmd_valid(args):
     if args.formula is not None:
         target = parse(args.formula)
         target_text = render(target)
+        agents = tuple(sorted(formula_agents(target))) or (1,)
+        atoms = tuple(sorted(formula_atoms(target)))
     else:
         pool = _parse_pool(args.pool) if args.pool is not None else None
         target = SchemaTarget(parse_schema(args.schema), args.sets, pool)
         target_text = format_schema(target.schema)
-
+        agents = tuple(sorted({a for g in (pool or ()) for a in g})) or (1, 2)
+        atoms = ()
     if args.agents is not None:
         agents = tuple(a for part in args.agents.split(",") if part.strip()
                        for a in read_agents(part, "--agents"))
-    elif isinstance(target, SchemaTarget):
-        agents = tuple(sorted({a for g in (target.pool or ()) for a in g}))
-        agents = agents or (1, 2)
-    else:
-        agents = tuple(sorted(formula_agents(target))) or (1,)
     if args.atoms is not None:
         atoms = _parse_atoms(args.atoms)
-    elif isinstance(target, SchemaTarget):
-        atoms = ()
-    else:
-        atoms = tuple(sorted(formula_atoms(target)))
     bounds = SearchBounds(
         max_worlds=args.max_worlds, agents=agents, atoms=atoms,
         mode=args.mode, trials=args.trials, seed=args.seed,

@@ -85,9 +85,13 @@ def agent_ids(members: "tuple[object, ...]",
     """``members`` sorted and duplicate-free, if each is an agent id (an
     int, not a bool, not negative); else ``error`` names the first that
     is no int, or the least.  Agent ids in Python values go here."""
-    for a in members:  # before sorting, which needs ints
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise error(f"agent ids are non-negative integers, got {a!r}")
+    try:
+        for a in members:  # before sorting, which needs ints
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise error(f"agent ids are non-negative integers, got {a!r}")
+    except TypeError:  # members is no collection
+        raise error(f"expected a collection of agent ids, got {members!r}"
+                    ) from None
     ms = tuple(sorted(set(members)))
     if ms and ms[0] < 0:
         raise error(f"agent ids are non-negative integers, got {ms[0]!r}")
@@ -153,6 +157,10 @@ class Top(Formula):
 @dataclass(frozen=True, repr=False)
 class Atom(Formula):
     name: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise InputError(f"an atom's name is a string, got {self.name!r}")
 
 
 @dataclass(frozen=True, repr=False)

@@ -21,12 +21,15 @@ GeneralModel is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import InputError, ModelFormatError, UnsupportedModelError
+from .errors import (
+    ConstraintError, InputError, ModelFormatError, UnsupportedModelError,
+)
 from .formula import Group, _Sealed, agent_ids, read_agent, read_agents
 from .model import (
-    AgentModel, Model, NeighbourhoodMap, WorldSet, group_families,
+    AgentModel, Model, NeighbourhoodMap, WorldSet, _default_families,
+    group_families,
 )
 
 __all__ = [
@@ -135,18 +138,13 @@ def _agent_family(m: Model, agent: int
                   ) -> tuple[_Families, "dict | None", str | None]:
     """An agent's primitive families, their map's memo, and a note if
     the agent is absent."""
-    if isinstance(m, AgentModel):
-        nm = m.agents.get(agent)
-        if nm is not None:
-            return nm.families, nm._memo, None
-        n = len(m.worlds)
-        return (frozenset(),) * n, None, f"agent {agent} is absent from the model"
-    nm = m.groups.get(Group.of(agent))
+    agents = isinstance(m, AgentModel)
+    nm = m.agents.get(agent) if agents else m.groups.get(Group.of(agent))
     if nm is not None:
         return nm.families, nm._memo, None
-    n = len(m.worlds)
-    return (frozenset((0,)),) * n, None, \
-        f"group {{{agent}}} has no entry; using the default family {{{{}}}}"
+    return _default_families(m), None, (
+        f"agent {agent} is absent from the model" if agents else
+        f"group {{{agent}}} has no entry; using the default family {{{{}}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +321,62 @@ def check_condition(m: Model, c: FrameCondition) -> ConditionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Closure operators
+# Repair and closure: the table's repair steps applied to agents' families
+
+
+def _named_agents(c: FrameCondition) -> tuple[int, ...]:
+    """The agents ``c`` names; none if it is on every family alike."""
+    subject = _row(c).subject
+    return ((c.agent,) if subject == "agent" else
+            c.group.members if subject == "group" else ())
+
+
+# Conditions that one agent's families cannot all meet; {a} is the agent
+_CONFLICTS = (
+    ({Nec, Conec}, "nec:{a} and conec:{a} cannot both hold"),
+    ({P, Cop}, "p:{a} and cop:{a} cannot both hold"),
+    ({BinaryConsistent, Nec, Cop}, "bincons with nec:{a} and cop:{a} cannot "
+     "hold: the empty set and the full set are complements"),
+)
+
+
+def _repair(families: "dict[int, list[frozenset[int]]]", n: int,
+            constraints: Sequence[FrameCondition]
+            ) -> dict[int, NeighbourhoodMap]:
+    """Maps of each agent's per-world ``families`` over ``n`` worlds after
+    the constraints' repair steps on them, in table order; ConstraintError
+    if a constraint has none or, least agent first, they conflict."""
+    named = []
+    for c in constraints:
+        if _row(c).repair is None:
+            raise ConstraintError(f"{format_condition(c)} cannot be enforced "
+                                  "by repair; use reflexive, which implies it")
+        named.append((type(c), _named_agents(c)))
+    full = (1 << n) - 1
+    for a in sorted(families):
+        kinds = {cls for cls, names in named if not names or a in names}
+        if not kinds:
+            continue  # no constraint is on this agent
+        for together, message in _CONFLICTS:
+            if together <= kinds:
+                raise ConstraintError(message.format(a=a))
+        steps = [row.repair for row in _CONDITIONS if row.cls in kinds]
+        keep_full = Nec in kinds
+        fams = families[a]
+        for w, fam in enumerate(fams):
+            for step in steps:
+                fam = step(fam, w, full, keep_full)
+            fams[w] = fam
+    return {a: NeighbourhoodMap(n, fams) for a, fams in families.items()}
 
 
 def _closed_model(m: AgentModel, c: FrameCondition) -> AgentModel:
     if not isinstance(m, AgentModel):
         raise UnsupportedModelError(
             "closure operators require an agent-indexed model")
-    n = len(m.worlds)
-    full = (1 << n) - 1
-    close = _row(c).repair
-    agents = {
-        a: NeighbourhoodMap(n, (close(nm.families[w], w, full, False)
-                                for w in range(n)))
-        for a, nm in m.agents.items()}
-    return AgentModel(m.worlds, dict(m.valuation), agents)
+    families = {a: list(nm.families) for a, nm in m.agents.items()}
+    return AgentModel(m.worlds, dict(m.valuation),
+                      _repair(families, len(m.worlds), (c,)))
 
 
 def close_under_supersets(m: AgentModel) -> AgentModel:

@@ -202,6 +202,8 @@ class LogicDescriptor:
                              f"{self.replace_b1_with_cg!r}")
         exts = frozenset(self.extensions)
         for s in exts:
+            if not isinstance(s, SchemaId):
+                raise InputError(f"extensions are SchemaIds, got {s!r}")
             if s.kind in _BASE_KINDS:
                 raise InputError(f"{format_schema(s)} is part of the base, "
                                  "not an extension")

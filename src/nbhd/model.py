@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
-from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     InputError, ModelFormatError, NbhdError, UnknownWorldError, guard, limit,
@@ -125,7 +125,13 @@ class NeighbourhoodMap:
     _memo = None  # no results kept
 
     def __init__(self, size: int, families: Iterable[Iterable[int]]):
-        fams = tuple(frozenset(fam) for fam in families)
+        if not (isinstance(size, int) and size >= 0):
+            raise InputError(f"a map's size is a number of worlds, got {size!r}")
+        try:
+            fams = tuple(frozenset(fam) for fam in families)
+        except TypeError:
+            raise InputError("a map needs one iterable of members per world, "
+                             f"got {families!r}") from None
         top = 1 << size
         for fam in fams:
             for bits in fam:
@@ -160,7 +166,18 @@ class _SharedMap(NeighbourhoodMap):
 
 def _check_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
                  maps: Mapping[object, NeighbourhoodMap], what: str) -> None:
-    """The checks both model kinds make; ``maps`` are keyed by ``what``."""
+    """The checks both model kinds make; ``maps`` are keyed by ``what``,
+    "agent" (agent ids) or "group" (Groups)."""
+    for name, value in (("valuation", valuation), (f"{what}s", maps)):
+        if not isinstance(value, Mapping):
+            raise ModelFormatError(f"{name} must be a mapping, "
+                                   f"got {type(value).__name__}")
+    if what == "agent":
+        agent_ids(tuple(maps), ModelFormatError)
+    else:
+        for key in maps:
+            if not isinstance(key, Group):
+                raise ModelFormatError(f"group keys must be Group, got {key!r}")
     if not worlds:
         raise ModelFormatError("a model needs at least one world")
     labels = set()
@@ -172,6 +189,9 @@ def _check_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
         labels.add(w.label)
     size = len(worlds)
     for name, ws in valuation.items():
+        if not isinstance(ws, WorldSet):
+            raise ModelFormatError(f"valuation of {name!r} needs a WorldSet, "
+                                   f"got {type(ws).__name__}")
         if ws.size != size:
             raise ModelFormatError(f"valuation of {name!r} has wrong domain size")
     for key, nm in maps.items():
@@ -193,7 +213,6 @@ class AgentModel:
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        agent_ids(tuple(self.agents), ModelFormatError)
         _check_model(self.worlds, self.valuation, self.agents, "agent")
 
 
@@ -222,9 +241,6 @@ class GeneralModel:
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for g in self.groups:
-            if not isinstance(g, Group):
-                raise ModelFormatError(f"group keys must be Group, got {g!r}")
         _check_model(self.worlds, self.valuation, self.groups, "group")
 
 
@@ -251,6 +267,13 @@ def _labels(m: Model, bits: int) -> tuple[str, ...]:
     return tuple(w.label for w in m.worlds if (bits >> w.index) & 1)
 
 
+def _default_families(m: Model) -> tuple[frozenset[int], ...]:
+    """The families of an agent or group that ``m`` has no map for: no
+    sets in an AgentModel, ``{empty set}`` in a GeneralModel."""
+    fam = frozenset() if isinstance(m, AgentModel) else frozenset((0,))
+    return (fam,) * len(m.worlds)
+
+
 def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
     """Per-world neighbourhood family of ``g``, as raw bit vectors.
 
@@ -263,39 +286,32 @@ def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
     hit = cache.get(g)
     if hit is not None:
         return hit
-    n = len(m.worlds)
     if isinstance(m, GeneralModel):
         nm = m.groups.get(g)
-        out = nm.families if nm is not None else (frozenset((0,)),) * n
-        cache[g] = out
+        out = cache[g] = nm.families if nm is not None else _default_families(m)
         return out
     if len(g) > limit("group-size"):
         guard("group-size", len(g), group=g)
-    member_fams = []
-    for agent in g:
-        nm = m.agents.get(agent)
-        member_fams.append(nm.families if nm is not None
-                           else (frozenset(),) * n)
+    maps = m.agents
+    member_fams = []  # a loop: a comprehension costs a call per derivation
+    for a in g:
+        member_fams.append(maps[a].families if a in maps
+                           else _default_families(m))
+    first, rest = member_fams[0], member_fams[1:]  # a Group has a member
     cap = limit("product")
     per_world = []
-    for w in range(n):
-        product = 1
-        for fams in member_fams:
+    for w, acc in enumerate(first):
+        product = len(acc)
+        for fams in rest:
             product *= len(fams[w])
         if product > cap:
             guard("product", product, group=g, world=m.worlds[w].label)
-        acc: frozenset[int] | None = None
-        for fams in member_fams:
-            fam = fams[w]
-            if acc is None:
-                acc = fam
-            else:
-                acc = frozenset(x & y for x in acc for y in fam)
+        for fams in rest:
             if not acc:
                 break
-        per_world.append(acc if acc is not None else frozenset())
-    out = tuple(per_world)
-    cache[g] = out
+            acc = frozenset(x & y for x in acc for y in fams[w])
+        per_world.append(acc)
+    out = cache[g] = tuple(per_world)
     return out
 
 
@@ -329,15 +345,29 @@ def _truth_bits(m: Model, f: Formula, memo: dict, full: int) -> int:
         bits = ws.bits if ws is not None else 0
     elif isinstance(f, Box):
         body = _truth_bits(m, f.body, memo, full)
-        bits = 0
-        for w, fam in enumerate(group_families(m, f.group)):
-            if body in fam:
-                bits |= 1 << w
+        bits = _preimage(group_families(m, f.group), body)
     else:
         _children(f)  # a TypeError unless f is a constant
         bits = full if isinstance(f, Top) else 0
     memo[id(f)] = bits
     return bits
+
+
+def _preimage(fams: tuple[frozenset[int], ...], bits: int) -> int:
+    """The worlds whose family in ``fams`` holds the set ``bits``."""
+    image = 0
+    for w, fam in enumerate(fams):
+        if bits in fam:
+            image |= 1 << w
+    return image
+
+
+def _first_outside(m: Model, held: WorldSet) -> "str | None":
+    """The label of the first world of ``m`` outside ``held``, if any."""
+    for w in m.worlds:
+        if not held.bits >> w.index & 1:
+            return w.label
+    return None
 
 
 def truth_set(m: Model, f: Formula) -> WorldSet:
@@ -441,12 +471,7 @@ def definable_sets(m: Model, group_pool: Iterable[Group]) -> dict[WorldSet, Form
                 push(bits | other_bits, Or(witness, other))
                 push(bits | other_bits, Or(other, witness))
         for g in pool:
-            fam = fams[g]
-            image = 0
-            for w in range(n):
-                if bits in fam[w]:
-                    image |= 1 << w
-            push(image, Box(g, witness))
+            push(_preimage(fams[g], bits), Box(g, witness))
 
     return {WorldSet(bits, n): final[bits] for bits in sorted(final)}
 
@@ -516,38 +541,25 @@ def model_from_dict(data: object) -> Model:
         for name, sets in raw_val.items()}
 
     has_agents = _AGENTS_KEY in data
-    has_groups = _GROUPS_KEY in data
-    if has_agents == has_groups:
+    if has_agents == (_GROUPS_KEY in data):
         raise ModelFormatError("exactly one of 'agents' or 'groups' is required")
-
-    if has_agents:
-        raw = data[_AGENTS_KEY]
-        if not isinstance(raw, dict):
-            raise ModelFormatError("'agents' must be a mapping")
-        agents: dict[int, NeighbourhoodMap] = {}
-        for key, fams in raw.items():
-            try:
-                agent = read_agent(key, "an agent key")
-            except InputError:
-                raise ModelFormatError(f"bad agent key {key!r}") from None
-            if agent in agents:
-                raise ModelFormatError(f"duplicate agent key {key!r}")
-            agents[agent] = _family_map_from_dict(fams, index, n, f"agent {key}")
-        return AgentModel(worlds, valuation, agents)
-
-    raw = data[_GROUPS_KEY]
+    kind, section = (("agent", _AGENTS_KEY) if has_agents
+                     else ("group", _GROUPS_KEY))
+    raw = data[section]
     if not isinstance(raw, dict):
-        raise ModelFormatError("'groups' must be a mapping")
-    groups: dict[Group, NeighbourhoodMap] = {}
+        raise ModelFormatError(f"{section!r} must be a mapping")
+    maps: dict = {}
     for key, fams in raw.items():
         try:
-            g = Group(read_agents(key, f"bad group key {key!r}:"))
+            owner = (read_agent(key, "an agent key") if has_agents
+                     else Group(read_agents(key, f"bad group key {key!r}:")))
         except InputError as exc:
-            raise ModelFormatError(str(exc)) from None
-        if g in groups:
-            raise ModelFormatError(f"duplicate group key {key!r}")
-        groups[g] = _family_map_from_dict(fams, index, n, f"group {key}")
-    return GeneralModel(worlds, valuation, groups)
+            raise ModelFormatError(f"bad agent key {key!r}" if has_agents
+                                   else str(exc)) from None
+        if owner in maps:
+            raise ModelFormatError(f"duplicate {kind} key {key!r}")
+        maps[owner] = _family_map_from_dict(fams, index, n, f"{kind} {key}")
+    return (AgentModel if has_agents else GeneralModel)(worlds, valuation, maps)
 
 
 def model_to_dict(m: Model) -> dict:

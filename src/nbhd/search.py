@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConstraintError, InputError, guard, limit
-from .formula import Formula, Group, agent_ids, render
+from .formula import Formula, Group, agent_ids
 from .frames import (
-    BinaryConsistent, Conec, Cop, FrameCondition, Nec, P, _BY_CLASS,
-    _CONDITIONS, check_condition, format_condition,
+    FrameCondition, _BY_CLASS, _CONDITIONS, _named_agents, _repair,
+    check_condition, format_condition,
 )
 from .logics import (
     CounterExample, LogicDescriptor, SchemaId, check_schema_semantically,
@@ -31,7 +31,7 @@ from .logics import (
 )
 from .model import (
     AgentModel, NeighbourhoodMap, World, WorldSet, _SharedMap, _agent_model,
-    model_to_dict, truth_set, unions_up_to,
+    _first_outside, model_to_dict, truth_set, unions_up_to,
 )
 
 __all__ = [
@@ -125,12 +125,9 @@ class SearchBounds:
         object.__setattr__(self, "frame_constraints",
                            tuple(self.frame_constraints))
         for c in self.frame_constraints:
-            row = _BY_CLASS.get(type(c))
-            if row is None:
+            if type(c) not in _BY_CLASS:
                 raise InputError(f"unknown frame constraint {c!r}")
-            named = ((c.agent,) if row.subject == "agent"
-                     else tuple(getattr(c, "group", ())))
-            for a in named:
+            for a in _named_agents(c):
                 if a not in agents:
                     raise InputError(
                         f"constraint {format_condition(c)} names an agent "
@@ -152,37 +149,14 @@ class SearchBounds:
 # Random generation with constraint repair
 
 
-def _static_contradictions(constraints: Sequence[FrameCondition]) -> None:
-    have = set(constraints)
-    for a in sorted({c.agent for c in have if hasattr(c, "agent")}):
-        if Nec(a) in have and Conec(a) in have:
-            raise ConstraintError(
-                f"nec:{a} and conec:{a} cannot both hold")
-        if P(a) in have and Cop(a) in have:
-            raise ConstraintError(f"p:{a} and cop:{a} cannot both hold")
-        if (BinaryConsistent() in have and Nec(a) in have
-                and Cop(a) in have):
-            raise ConstraintError(
-                f"bincons with nec:{a} and cop:{a} cannot hold: the empty "
-                "set and the full set are complements")
+def _worlds(n: int) -> tuple[World, ...]:
+    return tuple(World(i, f"w{i}") for i in range(n))
 
 
-def _repair(families: "dict[int, list[frozenset[int]]]", n: int,
-            constraints: Sequence[FrameCondition]) -> None:
-    """Apply the constraints' steps to each family, in table order."""
-    full = (1 << n) - 1
-    have = set(constraints)
-    for a, fams in families.items():
-        # the constraints on agent a and those on every agent
-        kinds = {type(c) for c in have if getattr(c, "agent", a) == a}
-        if not kinds:
-            continue
-        steps = [row.repair for row in _CONDITIONS if row.cls in kinds]
-        keep_full = Nec in kinds
-        for w, fam in enumerate(fams):
-            for step in steps:
-                fam = step(fam, w, full, keep_full)
-            fams[w] = fam
+def _families(codes: Iterable[int], n: int) -> list[frozenset[int]]:
+    """The family of each code over ``n`` worlds: its bit s is subset s."""
+    return [frozenset(s for s in range(1 << n) if (code >> s) & 1)
+            for code in codes]
 
 
 def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
@@ -194,37 +168,20 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
     a family code over all 2^|W| subsets.  The model is then repaired
     to satisfy the frame constraints: each (agent, world) family takes
     the repair steps of the constraints on it in the order of the table
-    in ``frames``: Nec/Cop insertions, then Reflexive/P/Conec deletions,
-    then Monotone/IntersectionClosed closures, then BinaryConsistent
-    pruning (dropping the bitwise later of each complementary pair, but
-    ∅ rather than W when nec pins W); the result is re-verified and
-    unsatisfiable combinations raise ConstraintError.  PGroup cannot be
-    repaired into place — request Reflexive instead, which implies it.
+    ``_CONDITIONS`` in ``frames`` (insertions, deletions, closures, then
+    pruning); the result is re-verified and unsatisfiable combinations
+    raise ConstraintError.  PGroup cannot be repaired into place —
+    request Reflexive instead, which implies it.
     """
     if bounds.mode != "random":
         raise InputError("random_model needs bounds in random mode")
-    for c in bounds.frame_constraints:
-        if _BY_CLASS[type(c)].repair is None:
-            raise ConstraintError(
-                f"{format_condition(c)} cannot be enforced by repair; "
-                "use reflexive, which implies it")
-    _static_contradictions(bounds.frame_constraints)
-
     rng = Stream(bounds.seed, draw)
     n = 1 + rng.below(bounds.max_worlds)
-    worlds = tuple(World(i, f"w{i}") for i in range(n))
     valuation = {atom: WorldSet(rng.below(1 << n), n) for atom in bounds.atoms}
-    codes = {agent: [rng.below(1 << (1 << n)) for _w in range(n)]
-             for agent in bounds.agents}
-    families = {agent: [frozenset(s for s in range(1 << n) if (code >> s) & 1)
-                        for code in per_world]
-                for agent, per_world in codes.items()}
-
-    _repair(families, n, bounds.frame_constraints)
-
-    model = _agent_model(
-        worlds, valuation,
-        {a: NeighbourhoodMap(n, fams) for a, fams in families.items()})
+    families = {a: _families([rng.below(1 << (1 << n)) for _w in range(n)], n)
+                for a in bounds.agents}
+    model = _agent_model(_worlds(n), valuation,
+                         _repair(families, n, bounds.frame_constraints))
     for c in bounds.frame_constraints:
         verdict = check_condition(model, c)
         if not verdict.holds:
@@ -261,11 +218,10 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     new_map = (_SharedMap if len(bounds.agents) > 1 or bounds.atoms
                else NeighbourhoodMap)
     for n in range(1, bounds.max_worlds + 1):
-        worlds = tuple(World(i, f"w{i}") for i in range(n))
+        worlds = _worlds(n)
         n_sets = 1 << n
         # one map per tuple of per-world family codes, first world slowest
-        fams = [frozenset(s for s in range(n_sets) if (code >> s) & 1)
-                for code in range(1 << n_sets)]
+        fams = _families(range(1 << n_sets), n)
         maps = [new_map(n, per_world)
                 for per_world in itertools.product(fams, repeat=n)]
         for vcodes in itertools.product(range(n_sets),
@@ -310,11 +266,7 @@ def _refutes(m: AgentModel, target: "Formula | SchemaTarget"
         verdict = check_schema_semantically(m, target.schema, target.mode,
                                             target.pool)
         return None if verdict.valid else verdict.counterexample
-    held = truth_set(m, target)
-    for w in m.worlds:
-        if w.index not in held:
-            return w.label
-    return None
+    return _first_outside(m, truth_set(m, target))
 
 
 def find_countermodel(target: "Formula | SchemaTarget",
@@ -326,17 +278,14 @@ def find_countermodel(target: "Formula | SchemaTarget",
     Returning None means none was found *within the bounds* — it is
     never a validity proof.
     """
-    if bounds.mode == "exhaustive":
-        for index, m in enumerate(exhaustive_models(bounds)):
-            witness = _refutes(m, target)
-            if witness is not None:
-                return SearchResult(m, witness, index=index)
-        return None
-    for draw in range(bounds.trials):
-        m = random_model(bounds, draw)
+    exhaustive = bounds.mode == "exhaustive"
+    models = (exhaustive_models(bounds) if exhaustive else
+              (random_model(bounds, draw) for draw in range(bounds.trials)))
+    for i, m in enumerate(models):
         witness = _refutes(m, target)
         if witness is not None:
-            return SearchResult(m, witness, draw=draw)
+            return SearchResult(m, witness, **{
+                "index" if exhaustive else "draw": i})
     return None
 
 

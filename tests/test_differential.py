@@ -86,7 +86,8 @@ from nbhd import (
     Monotone, Nec, NeighbourhoodMap, Not, Or, PCondition, PGroup, Reflexive,
     ResourceLimitError, SchemaId, SchemaVerdict, SearchBounds, Stream, Top,
     World, WorldSet, boxed_atoms, builtin_certificate, check_condition,
-    check_schema_semantically, default_group_pool, exhaustive_models,
+    check_schema_semantically, close_under_intersections,
+    close_under_supersets, default_group_pool, exhaustive_models,
     format_condition, format_schema, formula_agents, formula_atoms,
     group_families, instantiate_schema, is_propositional_tautology,
     match_schema, normalize, parse, proof_from_dict, random_model, render,
@@ -1900,6 +1901,36 @@ def _drawn(draw_model, bounds, draw):
         return draw_model(bounds, draw)
     except ConstraintError as exc:
         return str(exc)
+
+
+@st.composite
+def _agent_cases(draw):
+    """An AgentModel's families over 1-3 worlds for a subset of agents
+    0-3, so that some agents are absent."""
+    n = draw(st.integers(1, 3))
+    fam = st.integers(0, (1 << (1 << n)) - 1).map(
+        lambda c: {x for x in range(1 << n) if c >> x & 1})
+    owners = sorted(draw(st.sets(st.integers(0, 3), max_size=4)))
+    families = {a: [draw(fam) for _w in range(n)] for a in owners}
+    return n, families, {"p": draw(st.integers(0, (1 << n) - 1))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_agent_cases())
+def test_closures_match_reference(case):
+    n, families, valuation = case
+    m = _build(n, False, families, valuation)
+    full = (1 << n) - 1
+    for close, reference in (
+            (close_under_supersets,
+             lambda fam: _close_family_supersets(fam, full)),
+            (close_under_intersections, _close_family_intersections)):
+        closed = close(m)
+        assert closed.worlds == m.worlds and closed.valuation == m.valuation
+        assert list(closed.agents) == list(m.agents)  # absent stay absent
+        for a, nm in m.agents.items():
+            assert closed.agents[a].families == tuple(
+                reference(fam) for fam in nm.families), (close, a)
 
 
 def test_repair_matches_reference():

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from nbhd import (
-    AgentModel, FIXTURE_NAMES, GeneralModel, Group, InputError,
-    ModelFormatError,
+    AgentModel, Atom, FIXTURE_NAMES, GeneralModel, Group, InputError,
+    LogicDescriptor, ModelFormatError,
     NeighbourhoodMap, ResourceLimitError, SearchBounds, UnknownWorldError,
     World, WorldSet, default_group_pool, definable_sets, fixture,
     group_families, group_neighbourhood, mentioned_agents, model_from_dict,
@@ -140,6 +140,33 @@ def test_models_reject_maps_that_are_no_neighbourhood_map(make, key, bad):
         make(bad)
     assert str(exc.value) == (
         f"{key} needs a NeighbourhoodMap, got {type(bad).__name__}")
+
+
+_UV = (World(0, "u"), World(1, "v"))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: NeighbourhoodMap(-1, []), InputError,
+     "a map's size is a number of worlds, got -1"),
+    (lambda: NeighbourhoodMap("2", [set()]), InputError,
+     "a map's size is a number of worlds, got '2'"),
+    (lambda: NeighbourhoodMap(2, [5, 6]), InputError,
+     "a map needs one iterable of members per world, got [5, 6]"),
+    (lambda: AgentModel(_UV, {"p": 1}, {}), ModelFormatError,
+     "valuation of 'p' needs a WorldSet, got int"),
+    (lambda: AgentModel(_UV, {}, [1]), ModelFormatError,
+     "agents must be a mapping, got list"),
+    (lambda: LogicDescriptor(frozenset({"tg"})), InputError,
+     "extensions are SchemaIds, got 'tg'"),
+    (lambda: Group(5), InputError,
+     "expected a collection of agent ids, got 5"),
+    (lambda: Atom(3), InputError, "an atom's name is a string, got 3"),
+], ids=["map-size", "map-size-str", "map-family", "valuation-entry",
+        "agents-list", "extension-name", "group-int", "atom-name"])
+def test_constructors_reject_wrong_typed_values(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_private_constructor_builds_the_same_model():
