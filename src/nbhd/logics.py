@@ -25,6 +25,16 @@ skips an instance whose boxes name the same groups as an earlier one's,
 which changes no verdict and no counterexample: they come out in a
 fixed order, worlds ascending, groups in pool order, sets ascending by
 bit vector.
+
+Every schema has box depth 1, and N_G(w) is built from the members'
+families at w, so whether an instance fails at w depends only on the
+families at w.  A world filter therefore picks the worlds the test
+visits.  It packs a group's families into one int, its code: world w
+owns the 2^n-bit block at offset w * 2^n, whose bit s is set when subset
+s is a member, and one big-int operation per instance covers every
+world.  B1 and CG instead compare each pair's product set with the
+union's family, world by world.  A filter never skips a world where the
+test yields, so the tests stay the only source of counterexamples.
 """
 
 from __future__ import annotations
@@ -505,14 +515,98 @@ _VIOLATIONS = {
 }
 
 
+# Packed world filters.  Each maps the codes ``c`` by table position, the
+# codes ``r`` with each guard's cut to the set range, the instances and n
+# to an int whose block w is nonzero where its kind's test could yield.
+
+
+def _ones(n: int) -> int:
+    """Bit 0 of every block over ``n`` worlds."""
+    return sum(1 << (w << n) for w in range(n))
+
+
+def _without(n: int, i: int) -> int:
+    """One block holding the subsets of ``n`` worlds that lack world ``i``."""
+    return (1 << (1 << n)) // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1)
+
+
+def _any(codes: Iterable[int]) -> int:
+    return reduce(or_, codes, 0)
+
+
+def _b4_worlds(c, r, items, n):
+    # x is x | psi for a member z of N_H only if x is below z: each H's
+    # code down-closed by n shift-and-or steps
+    steps = [(1 << i, _without(n, i) * _ones(n)) for i in range(n)]
+    down = {}
+    for h in {item[1] for item in items}:
+        d = c[h]
+        for shift, mask in steps:
+            d |= d >> shift & mask
+        down[h] = d
+    return _any(r[g] & ~c[u] & down[h] for g, h, u, _ in items)
+
+
+_FILTERS = {
+    "B2": lambda c, r, items, n:  # the full set's bit in each block
+        _any(c[u] & ~c[g] for u, g, _ in items) & _ones(n) << (1 << n) - 1,
+    "B3": lambda c, r, items, n:
+        _any(r[g] & c[l_] & ~c[m_] for g, l_, m_, _ in items),
+    "B4": _b4_worlds,
+    "SA": lambda c, r, items, n: _any(r[g] & ~c[u] for g, u, _ in items),
+    "TG": lambda c, r, items, n:  # block w: the subsets without world w
+        _any(r[g] for g, _ in items)
+        & sum(_without(n, w) << (w << n) for w in range(n)),
+}
+
+
+def _aggregation_worlds(tab, items, rng, n):
+    """The worlds where a pair's product set leaves the union's family:
+    per world, not packed, and once for both (G,H) and (H,G)."""
+    pairs = [(g, h, u) for g, h, u, _ in items if g <= h]
+    cut = frozenset(rng).__and__ if len(rng) < 1 << n else lambda fam: fam
+    return [w for w in range(n) if any(
+        not {x & y for x in cut(tab[g][w]) for y in cut(tab[h][w])}
+        <= tab[u][w] for g, h, u in pairs)]
+
+
+def _flagged(m: Model, kind: str, groups: tuple[Group, ...], tab: list,
+             items: tuple, guards: tuple[int, ...], rng: Sequence[int]
+             ) -> Sequence[int]:
+    """The worlds, ascending, that ``kind``'s filter flags, or every world
+    for a kind without one.  ``tab`` holds the families of ``groups``,
+    whose codes are cached on ``m``."""
+    n = len(m.worlds)
+    if kind in ("B1", "CG"):
+        return _aggregation_worlds(tab, items, rng, n)
+    flt = _FILTERS.get(kind)
+    if flt is None:
+        return range(n)
+    cache, c = m._code_cache, []
+    for g, fams in zip(groups, tab):
+        code = cache.get(g)
+        if code is None:
+            code = cache[g] = sum(sum(map((1).__lshift__, fam)) << (w << n)
+                                  for w, fam in enumerate(fams))
+        c.append(code)
+    r = c
+    if len(rng) < 1 << n:
+        in_range, r = sum(map((1).__lshift__, rng)) * _ones(n), c[:]
+        for k in guards:
+            r[k] &= in_range
+    f, block = flt(c, r, items, n), (1 << (1 << n)) - 1
+    return [w for w in range(n) if f >> (w << n) & block]
+
+
 def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
                          rng: Sequence[int]) -> CounterExample | None:
     n = len(m.worlds)
     extras, items, guards = _instances(s.kind, tuple(g.members for g in pool),
                                        s.agent)
-    tab = [group_families(m, g) for g in pool + extras]
+    groups = pool + extras
+    tab = [group_families(m, g) for g in groups]
     test, full = _VIOLATIONS[s.kind], (1 << n) - 1
-    for w in range(n):
+    for w in _flagged(m, s.kind, groups, tab, items, guards, rng):
         at = [f[w] for f in tab]
         mem = {k: [x for x in rng if x in at[k]] for k in guards}
         hit = next(test(w, at, mem, items, rng, full), None)
@@ -526,17 +620,21 @@ def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
     return None
 
 
+def _check_mode(mode: object) -> None:
+    if mode not in ("all-subsets", "definable-only"):
+        raise InputError(f"unknown mode {mode!r}; "
+                         "use 'all-subsets' or 'definable-only'")
+
+
 def _set_range(m: Model, mode: str, pool: tuple[Group, ...]
                ) -> tuple[list[int], bool]:
+    _check_mode(mode)
     n = len(m.worlds)
     if mode == "all-subsets":
         guard("subsets", 1 << n, worlds=n)
         return list(range(1 << n)), True
-    if mode == "definable-only":
-        bits = [ws.bits for ws in definable_sets(m, pool)]
-        return bits, len(bits) == (1 << n)
-    raise InputError(f"unknown mode {mode!r}; "
-                     "use 'all-subsets' or 'definable-only'")
+    bits = [ws.bits for ws in definable_sets(m, pool)]
+    return bits, len(bits) == (1 << n)
 
 
 def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",

@@ -211,6 +211,7 @@ class AgentModel:
     valuation: Mapping[str, WorldSet]
     agents: Mapping[int, NeighbourhoodMap]
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _code_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_model(self.worlds, self.valuation, self.agents, "agent")
@@ -222,7 +223,7 @@ def _agent_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
     search, which builds these fields from checked bounds."""
     m = object.__new__(AgentModel)
     vars(m).update(worlds=worlds, valuation=valuation, agents=agents,
-                   _group_cache={})
+                   _group_cache={}, _code_cache={})
     return m
 
 
@@ -239,6 +240,7 @@ class GeneralModel:
     valuation: Mapping[str, WorldSet]
     groups: Mapping[Group, NeighbourhoodMap]
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _code_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_model(self.worlds, self.valuation, self.groups, "group")
@@ -309,7 +311,7 @@ def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
         for fams in rest:
             if not acc:
                 break
-            acc = frozenset(x & y for x in acc for y in fams[w])
+            acc = frozenset({x & y for x in acc for y in fams[w]})
         per_world.append(acc)
     out = cache[g] = tuple(per_world)
     return out

@@ -26,8 +26,8 @@ from .frames import (
     check_condition, format_condition,
 )
 from .logics import (
-    CounterExample, LogicDescriptor, SchemaId, check_schema_semantically,
-    counterexample_to_dict, format_schema,
+    CounterExample, LogicDescriptor, SchemaId, _check_mode,
+    check_schema_semantically, counterexample_to_dict, format_schema,
 )
 from .model import (
     AgentModel, NeighbourhoodMap, World, WorldSet, _SharedMap, _agent_model,
@@ -112,7 +112,11 @@ class SearchBounds:
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.max_worlds < 1:
             raise InputError("max_worlds must be at least 1")
-        agents = tuple(self.agents)
+        try:
+            agents = tuple(self.agents)
+        except TypeError:
+            raise InputError("agents must be a collection of agent ids, "
+                             f"got {self.agents!r}") from None
         if not agents or len(agent_ids(agents)) != len(agents):
             raise InputError("agents must be distinct and nonempty")
         object.__setattr__(self, "agents", agents)
@@ -250,6 +254,21 @@ class SchemaTarget:
     schema: SchemaId
     mode: str = "all-subsets"
     pool: "tuple[Group, ...] | None" = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.schema, SchemaId):
+            raise InputError(f"a schema target needs a SchemaId, "
+                             f"got {self.schema!r}")
+        _check_mode(self.mode)
+        if self.pool is not None:
+            try:
+                pool = tuple(self.pool)
+            except TypeError:
+                pool = None
+            if not pool or not all(isinstance(g, Group) for g in pool):
+                raise InputError("the group pool must be None or a nonempty "
+                                 f"collection of Groups, got {self.pool!r}")
+            object.__setattr__(self, "pool", pool)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Schema names, instantiation/recognition, semantic checks, proofs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbhd import (
     AgentModel, AxiomRef, B1, B2, B3, B4, BASE_LOGIC, CERTIFICATE_NAMES, CG,
@@ -12,8 +13,11 @@ from nbhd import (
     instantiate_schema, is_axiom_instance, logic_from_dict, logic_to_dict,
     match_schema, parse, parse_schema, proof_from_dict, proof_to_dict, render,
 )
-from nbhd import PG
+from nbhd import GeneralModel, PG, group_families
 from nbhd import PSchema as P
+from nbhd.logics import (
+    _FILTERS, _VIOLATIONS, _flagged, _instances, _set_range,
+)
 
 G1, G2, G3 = Group.of(1), Group.of(2), Group.of(3)
 G12, G13, G123 = Group.of(1, 2), Group.of(1, 3), Group.of(1, 2, 3)
@@ -301,6 +305,60 @@ def test_disagreement_note_is_skipped_over_the_guard(monkeypatch):
     v = check_schema_semantically(fixture("NONREFLEXIVE"), TG,
                                   mode="definable-only", group_pool=(G1,))
     assert v == SchemaVerdict(True)
+
+
+# Every group over agents 0-2; a GeneralModel stores some of them.
+_GROUPS = tuple(Group(tuple(a for a in range(3) if code >> a & 1))
+                for code in range(1, 8))
+
+
+@st.composite
+def _filter_cases(draw):
+    n = draw(st.integers(1, 4))
+    worlds = tuple(World(i, f"w{i}") for i in range(n))
+    subsets = st.integers(0, (1 << n) - 1)
+    general = draw(st.booleans())
+    owners = ([g for g in _GROUPS if draw(st.booleans())] if general
+              else sorted(draw(st.sets(st.integers(0, 2)))))
+    family = st.sets(subsets, max_size=1 << n)
+    maps = {o: NeighbourhoodMap(n, draw(st.lists(family, min_size=n,
+                                                 max_size=n)))
+            for o in owners}
+    m = (GeneralModel if general else AgentModel)(
+        worlds, {"p": WorldSet(draw(subsets), n)}, maps)
+    pool = tuple(draw(st.lists(st.sampled_from(_GROUPS), min_size=1,
+                               max_size=4)))
+    return m, pool, sorted(draw(st.sets(subsets)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_cases())
+def test_world_filters_flag_every_violating_world(case):
+    # A filter may skip only worlds where its violation test yields
+    # nothing.  It is exact where every superset it tests is in range:
+    # in all-subsets mode, and for all but B4 over any range (B4's
+    # superset of x need not be x | psi for a psi in range).
+    m, pool, drawn = case
+    n, full = len(m.worlds), (1 << len(m.worlds)) - 1
+    for rng in (range(1 << n), _set_range(m, "definable-only", pool)[0],
+                drawn):
+        for kind in ("B1", "CG", *_FILTERS):
+            extras, items, guards = _instances(
+                kind, tuple(g.members for g in pool), None)
+            groups = pool + extras
+            tab = [group_families(m, g) for g in groups]
+            flagged = list(_flagged(m, kind, groups, tab, items, guards, rng))
+            yielding = []
+            for w in range(n):
+                at = [f[w] for f in tab]
+                mem = {k: [x for x in rng if x in at[k]] for k in guards}
+                if next(_VIOLATIONS[kind](w, at, mem, items, rng, full),
+                        None) is not None:
+                    yielding.append(w)
+            assert flagged == sorted(set(flagged)), kind
+            assert set(yielding) <= set(flagged), (kind, list(rng))
+            if len(rng) == 1 << n or kind != "B4":
+                assert flagged == yielding, (kind, list(rng))
 
 
 # ---------------------------------------------------------------------------

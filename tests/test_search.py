@@ -132,6 +132,36 @@ def test_bounds_type_errors(args, kw, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: SearchBounds(1, 5),
+     "agents must be a collection of agent ids, got 5"),
+    (lambda: SchemaTarget(5, "x", 3), "a schema target needs a SchemaId, got 5"),
+    (lambda: SchemaTarget(B1, "x"),
+     "unknown mode 'x'; use 'all-subsets' or 'definable-only'"),
+    (lambda: SchemaTarget(B1, pool=3), "the group pool must be None or a "
+     "nonempty collection of Groups, got 3"),
+    (lambda: SchemaTarget(B1, pool=()), "the group pool must be None or a "
+     "nonempty collection of Groups, got ()"),
+    (lambda: SchemaTarget(B1, pool=[G1, 5]), "the group pool must be None "
+     "or a nonempty collection of Groups, got [Group({1}), 5]"),
+], ids=["agents-int", "target-schema", "target-mode", "pool-int",
+        "pool-empty", "pool-member"])
+def test_bounds_and_targets_reject_wrong_values(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_target_mode_rule_is_the_checkers():
+    with pytest.raises(InputError) as target:
+        SchemaTarget(B1, "fast")
+    with pytest.raises(InputError) as check:
+        check_schema_semantically(fixture("M1"), B1, "fast")
+    assert str(target.value) == str(check.value)
+    t = SchemaTarget(B1, "definable-only", [G1, G12])
+    assert t.pool == (G1, G12) and SchemaTarget(B1).pool is None
+
+
 def test_bounds_resource_guards():
     with pytest.raises(ResourceLimitError, match="at most 6 worlds"):
         _bounds(max_worlds=7)
