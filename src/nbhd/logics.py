@@ -537,7 +537,8 @@ def _any(codes: Iterable[int]) -> int:
 def _b4_worlds(c, r, items, n):
     # x is x | psi for a member z of N_H only if x is below z: each H's
     # code down-closed by n shift-and-or steps
-    steps = [(1 << i, _without(n, i) * _ones(n)) for i in range(n)]
+    ones = _ones(n)
+    steps = [(1 << i, _without(n, i) * ones) for i in range(n)]
     down = {}
     for h in {item[1] for item in items}:
         d = c[h]
@@ -573,9 +574,8 @@ def _aggregation_worlds(tab, items, rng, n):
 def _flagged(m: Model, kind: str, groups: tuple[Group, ...], tab: list,
              items: tuple, guards: tuple[int, ...], rng: Sequence[int]
              ) -> Sequence[int]:
-    """The worlds, ascending, that ``kind``'s filter flags, or every world
-    for a kind without one.  ``tab`` holds the families of ``groups``,
-    whose codes are cached on ``m``."""
+    """The worlds, ascending, that ``kind``'s filter flags, or all worlds;
+    ``tab`` has the families of ``groups``, whose codes ``m`` caches."""
     n = len(m.worlds)
     if kind in ("B1", "CG"):
         return _aggregation_worlds(tab, items, rng, n)
@@ -584,9 +584,9 @@ def _flagged(m: Model, kind: str, groups: tuple[Group, ...], tab: list,
         return range(n)
     cache, c = m._code_cache, []
     for g, fams in zip(groups, tab):
-        code = cache.get(g)
+        code = cache.get(g.members)  # a tuple hashes faster than a Group
         if code is None:
-            code = cache[g] = sum(sum(map((1).__lshift__, fam)) << (w << n)
+            code = cache[g.members] = sum(sum(map((1).__lshift__, fam)) << (w << n)
                                   for w, fam in enumerate(fams))
         c.append(code)
     r = c
