@@ -522,7 +522,7 @@ _VIOLATIONS = {
 
 def _ones(n: int) -> int:
     """Bit 0 of every block over ``n`` worlds."""
-    return sum(1 << (w << n) for w in range(n))
+    return ((1 << (n << n)) - 1) // ((1 << (1 << n)) - 1)
 
 
 def _without(n: int, i: int) -> int:
@@ -535,8 +535,7 @@ def _any(codes: Iterable[int]) -> int:
 
 
 def _b4_worlds(c, r, items, n):
-    # x is x | psi for a member z of N_H only if x is below z: each H's
-    # code down-closed by n shift-and-or steps
+    # x | psi is in N_H only if x is below a member: N_H's down-closure
     ones = _ones(n)
     steps = [(1 << i, _without(n, i) * ones) for i in range(n)]
     down = {}
@@ -571,23 +570,23 @@ def _aggregation_worlds(tab, items, rng, n):
         <= tab[u][w] for g, h, u in pairs)]
 
 
-def _flagged(m: Model, kind: str, groups: tuple[Group, ...], tab: list,
-             items: tuple, guards: tuple[int, ...], rng: Sequence[int]
-             ) -> Sequence[int]:
+def _flagged(m: Model, kind: str, groups: tuple, tab: list, items: tuple,
+             guards: tuple, rng: Sequence[int]) -> Sequence[int]:
     """The worlds, ascending, that ``kind``'s filter flags, or all worlds;
     ``tab`` has the families of ``groups``, whose codes ``m`` caches."""
-    n = len(m.worlds)
-    if kind in ("B1", "CG"):
+    n, flt = len(m.worlds), _FILTERS.get(kind)
+    if kind in ("B1", "CG") and len(items) > 1:
         return _aggregation_worlds(tab, items, rng, n)
-    flt = _FILTERS.get(kind)
-    if flt is None:
+    if flt is None or len(items) < 2:  # one instance costs less per world
         return range(n)
     cache, c = m._code_cache, []
     for g, fams in zip(groups, tab):
         code = cache.get(g.members)  # a tuple hashes faster than a Group
         if code is None:
-            code = cache[g.members] = sum(sum(map((1).__lshift__, fam)) << (w << n)
-                                  for w, fam in enumerate(fams))
+            code = 0
+            for fam in reversed(fams):
+                code = code << (1 << n) | sum(map((1).__lshift__, fam))
+            cache[g.members] = code
         c.append(code)
     r = c
     if len(rng) < 1 << n:
@@ -628,11 +627,11 @@ def _check_mode(mode: object) -> None:
 
 def _set_range(m: Model, mode: str, pool: tuple[Group, ...]
                ) -> tuple[list[int], bool]:
-    _check_mode(mode)
     n = len(m.worlds)
     if mode == "all-subsets":
         guard("subsets", 1 << n, worlds=n)
         return list(range(1 << n)), True
+    _check_mode(mode)
     bits = [ws.bits for ws in definable_sets(m, pool)]
     return bits, len(bits) == (1 << n)
 
