@@ -34,7 +34,8 @@ owns the 2^n-bit block at offset w * 2^n, whose bit s is set when subset
 s is a member, and one big-int operation per instance covers every
 world.  B1 and CG instead compare each pair's product set with the
 union's family, world by world.  A filter never skips a world where the
-test yields, so the tests stay the only source of counterexamples.
+test yields, so the tests stay the only source of counterexamples.  A
+check with a single instance visits every world, which costs less.
 """
 
 from __future__ import annotations

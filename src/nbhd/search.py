@@ -257,7 +257,7 @@ class SchemaTarget:
 
     def __post_init__(self) -> None:
         if not isinstance(self.schema, SchemaId):
-            raise InputError(f"a schema target needs a SchemaId, "
+            raise InputError("a schema target needs a SchemaId, "
                              f"got {self.schema!r}")
         _check_mode(self.mode)
         if self.pool is not None:
