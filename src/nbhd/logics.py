@@ -32,10 +32,10 @@ families at w.  A world filter therefore picks the worlds the test
 visits.  It packs a group's families into one int, its code: world w
 owns the 2^n-bit block at offset w * 2^n, whose bit s is set when subset
 s is a member, and one big-int operation per instance covers every
-world.  B1 and CG instead compare each pair's product set with the
-union's family, world by world.  A filter never skips a world where the
-test yields, so the tests stay the only source of counterexamples.  A
-check with a single instance visits every world, which costs less.
+world (B2, B3, B4; B1 and CG compare each pair's product set with the
+union's family, world by world).  A filter never skips a world where
+the test yields, so the tests stay the only source of counterexamples.
+A check with one instance, or over more than 6 worlds, visits all.
 """
 
 from __future__ import annotations
@@ -554,11 +554,9 @@ _FILTERS = {
     "B3": lambda c, r, items, n:
         _any(r[g] & c[l_] & ~c[m_] for g, l_, m_, _ in items),
     "B4": _b4_worlds,
-    "SA": lambda c, r, items, n: _any(r[g] & ~c[u] for g, u, _ in items),
-    "TG": lambda c, r, items, n:  # block w: the subsets without world w
-        _any(r[g] for g, _ in items)
-        & sum(_without(n, w) << (w << n) for w in range(n)),
 }
+
+_PACKED_WORLDS = 6  # a code takes n * 2^n bits; larger domains go per world
 
 
 def _aggregation_worlds(tab, items, rng, n):
@@ -578,8 +576,8 @@ def _flagged(m: Model, kind: str, groups: tuple, tab: list, items: tuple,
     n, flt = len(m.worlds), _FILTERS.get(kind)
     if kind in ("B1", "CG") and len(items) > 1:
         return _aggregation_worlds(tab, items, rng, n)
-    if flt is None or len(items) < 2:  # one instance costs less per world
-        return range(n)
+    if flt is None or len(items) < 2 or n > _PACKED_WORLDS:
+        return range(n)  # one instance costs less world by world
     cache, c = m._code_cache, []
     for g, fams in zip(groups, tab):
         code = cache.get(g.members)  # a tuple hashes faster than a Group

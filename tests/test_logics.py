@@ -1,5 +1,8 @@
 """Schema names, instantiation/recognition, semantic checks, proofs."""
 
+import signal
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -362,6 +365,45 @@ def test_world_filters_flag_every_violating_world(case):
                 assert flagged == list(range(n)), kind
             elif len(rng) == 1 << n or kind != "B4":
                 assert flagged == yielding, (kind, list(rng))
+
+
+def _timeout(signum, frame):
+    raise TimeoutError
+
+
+def test_definable_only_checks_on_20_worlds_stay_fast():
+    # Packed codes take n * 2^n bits: 20 worlds would need 20M-bit ints
+    # and a division by a 1M-bit one, so such a domain is tested world
+    # by world.  Each check has several instances and few definable sets.
+    n = 20
+    p_, q_ = (1 << 10) - 1, sum(1 << i for i in range(0, n, 2))
+    fams = {G1: [{p_, q_}] * n, G2: [{p_}] * n, G3: [{q_}] * n,
+            G12: [{p_}] * 13 + [{p_ & q_}] + [{p_}] * 6}
+    fams.update({g: [{p_}] * n for g in (G13, Group.of(2, 3), G123)})
+    m = GeneralModel(tuple(World(i, f"w{i}") for i in range(n)),
+                     {"p": WorldSet(p_, n), "q": WorldSet(q_, n)},
+                     {g: NeighbourhoodMap(n, f) for g, f in fams.items()})
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        start = perf_counter()
+        verdicts = [check_schema_semantically(m, s, "definable-only")
+                    for s in (B2, B3, B4)]
+        elapsed = perf_counter() - start
+    except TimeoutError:
+        elapsed = None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if elapsed is None:
+        pytest.fail("the checks took more than 5 s", pytrace=False)
+    assert elapsed < 1
+    b2, b3, b4 = verdicts
+    assert b2 == SchemaVerdict(True)
+    # phi = p is in N_1 and N_123 at w13 but not in N_12 there
+    assert b3.counterexample.describe() == (
+        "world w13, G={1}, H={2}, J={3}, phi={0,1,2,3,4,5,6,7,8,9}")
+    assert not b4.valid
 
 
 # ---------------------------------------------------------------------------
