@@ -4,7 +4,7 @@ import signal
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbhd import (
     AgentModel, AxiomRef, B1, B2, B3, B4, BASE_LOGIC, CERTIFICATE_NAMES, CG,
@@ -334,8 +334,17 @@ def _filter_cases(draw):
     return m, pool, sorted(draw(st.sets(subsets)))
 
 
+# B3 fails at w0 only for phi = {w0}: a range without it flags nothing.
+_B3_OUT_OF_RANGE = (
+    GeneralModel((World(0, "w0"),), {}, {
+        _GROUPS[0]: NeighbourhoodMap(1, [{1}]),
+        _GROUPS[6]: NeighbourhoodMap(1, [{1}])}),
+    _GROUPS[:2] + _GROUPS[3:4], [0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_filter_cases())
+@example(_B3_OUT_OF_RANGE)
 def test_world_filters_flag_every_violating_world(case):
     # A filter may skip only worlds where its violation test yields
     # nothing.  It is exact where every superset it tests is in range:
