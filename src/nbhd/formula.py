@@ -98,6 +98,13 @@ def agent_ids(members: "tuple[object, ...]",
     return ms
 
 
+def read_text(text: object, reader: str) -> str:
+    """``text`` if it is a string, else InputError naming ``reader``."""
+    if not isinstance(text, str):
+        raise InputError(f"{reader} needs a string, got {type(text).__name__}")
+    return text
+
+
 def read_agent(text: str, what: str) -> int:
     """The agent id written in ``text``: a run of decimal digits
     (``str.isdecimal``, as inside a formula's ``[1,2]``), with whitespace
@@ -387,9 +394,7 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula, raising FormulaSyntaxError on bad input."""
-    if not isinstance(text, str):
-        raise InputError(f"parse needs a string, got {type(text).__name__}")
-    parser = _Parser(text)
+    parser = _Parser(read_text(text, "parse"))
     node, _ = parser.formula()
     kind, _, pos = parser.tokens[parser.pos]
     if kind != "end":

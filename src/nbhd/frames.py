@@ -26,7 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import (
     ConstraintError, InputError, ModelFormatError, UnsupportedModelError,
 )
-from .formula import Group, _Sealed, agent_ids, read_agent, read_agents
+from .formula import (
+    Group, _Sealed, agent_ids, read_agent, read_agents, read_text,
+)
 from .model import (
     AgentModel, Model, NeighbourhoodMap, WorldSet, _default_families,
     group_families,
@@ -395,7 +397,7 @@ def close_under_intersections(m: AgentModel) -> AgentModel:
 
 def parse_condition(text: str) -> FrameCondition:
     """Parse names like ``reflexive``, ``nec:2`` or ``pg:1,2``."""
-    name, sep, arg = text.strip().partition(":")
+    name, sep, arg = read_text(text, "parse_condition").strip().partition(":")
     name = name.lower()
     row = _BY_NAME.get(name)
     if row is None:

@@ -20,11 +20,14 @@ over all subsets of the domain or over the definable sets only, and
 their group metavariables over a caller-supplied pool.  All three read
 one table of pattern formulas.  A semantic check takes its instances
 from the pattern (group variables over the pool, boxes in walk order)
-and keeps per schema only a small test of one world's instances.  It
-skips an instance whose boxes name the same groups as an earlier one's,
-which changes no verdict and no counterexample: they come out in a
-fixed order, worlds ascending, groups in pool order, sets ascending by
-bit vector.
+and keeps per schema only a small test of one world's instances.  TG,
+DI, PG, NEC, CONEC, P and COP fail at w exactly where their frame
+condition (reflexive, bincons, pg, the namesakes) fails on the box's
+family, so they run its row of ``frames._CONDITIONS``, which returns
+the least offending set.  The check skips an instance whose boxes name
+the same groups as an earlier one's, which changes no verdict and no
+counterexample: they come out in a fixed order, worlds ascending,
+groups in pool order, sets ascending by bit vector.
 
 Every schema has box depth 1, and N_G(w) is built from the members'
 families at w, so whether an instance fails at w depends only on the
@@ -32,10 +35,11 @@ families at w.  A world filter therefore picks the worlds the test
 visits.  It packs a group's families into one int, its code: world w
 owns the 2^n-bit block at offset w * 2^n, whose bit s is set when subset
 s is a member, and one big-int operation per instance covers every
-world (B2, B3, B4; B1 and CG compare each pair's product set with the
-union's family, world by world).  A filter never skips a world where
-the test yields, so the tests stay the only source of counterexamples.
-A check with one instance, or over more than 6 worlds, visits all.
+world, one more cutting the result to a set variable's range (B2, B3,
+B4; B1 and CG compare each pair's product set with the union's family,
+world by world).  A filter never skips a world where the test yields,
+so the tests stay the only source of counterexamples.  A check with
+one instance, or over more than 6 worlds, visits all.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ from .errors import (
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
     _children, agent_ids, is_propositional_tautology, parse, read_agent,
-    render,
+    read_text, render,
 )
+from .frames import _BY_NAME
 from .model import (
-    Model, WorldSet, _json_file, default_group_pool,
+    Model, WorldSet, _group_pool, _json_file, default_group_pool,
     definable_sets, group_families,
 )
 
@@ -177,7 +182,7 @@ NEC, CONEC, P, COP, DI = (partial(SchemaId, kind)
 
 def parse_schema(text: str) -> SchemaId:
     """Parse names like ``b1``, ``tg`` or ``nec:2``."""
-    name, sep, arg = text.strip().partition(":")
+    name, sep, arg = read_text(text, "parse_schema").strip().partition(":")
     kind = name.upper()
     if kind not in _KINDS:
         raise InputError(f"unknown schema {text!r}")
@@ -472,13 +477,6 @@ def _sa(w, at, mem, items, rng, full):
                 yield vs, (x,)
 
 
-def _tg(w, at, mem, items, rng, full):
-    for g, vs in items:
-        for x in mem[g]:
-            if not (x >> w) & 1:
-                yield vs, (x,)
-
-
 def _rmg(w, at, mem, items, rng, full):
     for g, _, vs in items:
         fam = at[g]
@@ -488,37 +486,31 @@ def _rmg(w, at, mem, items, rng, full):
                     yield vs, (x, y)
 
 
-def _di(w, at, mem, items, rng, full):
-    for a, _, vs in items:
-        fam = at[a]
-        for x in mem[a]:
-            if (full ^ x) in fam:
-                yield vs, (x,)
-
-
-def _constant(pattern: Formula):
-    """The violation test of ``[X]c`` or ``~[X]c`` with ``c`` true or false."""
-    negated = isinstance(pattern, Not)
-    top = isinstance((pattern.body if negated else pattern).body, Top)
+def _frame_test(kind: str, row: str):
+    """The violation test of ``kind`` by frame row ``row``, on the range-cut
+    ``mem`` if ``kind`` has a set variable: exact for DI's complements, as
+    both set ranges (all subsets, definable sets) are closed under them."""
+    offending, guarded = _BY_NAME[row].offending, bool(_SET_VARS[kind])
 
     def test(w, at, mem, items, rng, full):
-        c = full if top else 0
-        for x, vs in items:
-            if (c in at[x]) == negated:
-                yield vs, ()
+        for item in items:
+            x = offending(mem[item[0]] if guarded else at[item[0]], w, full)
+            if x is not None:  # the empty set is 0
+                yield item[-1], (x,) if guarded else ()
     return test
 
 
 _VIOLATIONS = {
     "B1": _aggregation, "CG": _aggregation, "B2": _b2, "B3": _b3, "B4": _b4,
-    "SA": _sa, "TG": _tg, "RMG": _rmg, "DI": _di,
-    **{k: _constant(_PATTERNS[k]) for k in ("PG", "NEC", "CONEC", "P", "COP")},
+    "SA": _sa, "RMG": _rmg, **{k: _frame_test(k, row) for k, row in (
+        ("TG", "reflexive"), ("DI", "bincons"), ("PG", "pg"), ("NEC", "nec"),
+        ("CONEC", "conec"), ("P", "p"), ("COP", "cop"))},
 }
 
 
 # Packed world filters.  Each maps the codes ``c`` by table position, the
-# codes ``r`` with each guard's cut to the set range, the instances and n
-# to an int whose block w is nonzero where its kind's test could yield.
+# instances and n to an int whose block w is nonzero where its kind's test
+# could yield over all subsets; ``_flagged`` cuts that to the set range.
 
 
 def _ones(n: int) -> int:
@@ -535,7 +527,7 @@ def _any(codes: Iterable[int]) -> int:
     return reduce(or_, codes, 0)
 
 
-def _b4_worlds(c, r, items, n):
+def _b4_worlds(c, items, n):
     # x | psi is in N_H only if x is below a member: N_H's down-closure
     ones = _ones(n)
     steps = [(1 << i, _without(n, i) * ones) for i in range(n)]
@@ -545,14 +537,14 @@ def _b4_worlds(c, r, items, n):
         for shift, mask in steps:
             d |= d >> shift & mask
         down[h] = d
-    return _any(r[g] & ~c[u] & down[h] for g, h, u, _ in items)
+    return _any(c[g] & ~c[u] & down[h] for g, h, u, _ in items)
 
 
 _FILTERS = {
-    "B2": lambda c, r, items, n:  # the full set's bit in each block
+    "B2": lambda c, items, n:  # the full set's bit in each block
         _any(c[u] & ~c[g] for u, g, _ in items) & _ones(n) << (1 << n) - 1,
-    "B3": lambda c, r, items, n:
-        _any(r[g] & c[l_] & ~c[m_] for g, l_, m_, _ in items),
+    "B3": lambda c, items, n:
+        _any(c[g] & c[l_] & ~c[m_] for g, l_, m_, _ in items),
     "B4": _b4_worlds,
 }
 
@@ -587,12 +579,9 @@ def _flagged(m: Model, kind: str, groups: tuple, tab: list, items: tuple,
                 code = code << (1 << n) | sum(map((1).__lshift__, fam))
             cache[g.members] = code
         c.append(code)
-    r = c
-    if len(rng) < 1 << n:
-        in_range, r = sum(map((1).__lshift__, rng)) * _ones(n), c[:]
-        for k in guards:
-            r[k] &= in_range
-    f, block = flt(c, r, items, n), (1 << (1 << n)) - 1
+    f, block = flt(c, items, n), (1 << (1 << n)) - 1
+    if guards and len(rng) < 1 << n:  # exact: AND distributes over OR
+        f &= sum(map((1).__lshift__, rng)) * _ones(n)
     return [w for w in range(n) if f >> (w << n) & block]
 
 
@@ -649,7 +638,7 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
     saying so (the comparison is skipped when the domain is over the
     all-subsets guard).
     """
-    pool = (tuple(group_pool) if group_pool is not None
+    pool = (_group_pool(group_pool) if group_pool is not None
             else default_group_pool(m))
     if not pool:
         raise InputError("the group pool must be nonempty")

@@ -437,6 +437,16 @@ def default_group_pool(m: Model) -> tuple[Group, ...]:
     return tuple(sorted(set(pool).union(m.groups), key=Group.sort_key))
 
 
+def _group_pool(pool: object, nonempty: bool = False) -> tuple[Group, ...]:
+    """The Groups of ``pool``, nonempty if ``nonempty``; else InputError."""
+    groups = tuple(pool) if isinstance(pool, Iterable) else None
+    if (groups is None or nonempty and not groups
+            or not all(isinstance(g, Group) for g in groups)):
+        raise InputError("the group pool must be None or a nonempty "
+                         f"collection of Groups, got {pool!r}")
+    return groups
+
+
 def definable_sets(m: Model, group_pool: Iterable[Group]) -> dict[WorldSet, Formula]:
     """Least family containing {}, W and the valuation sets, closed under
     complement, union and the box preimage of every pool group.
@@ -444,7 +454,7 @@ def definable_sets(m: Model, group_pool: Iterable[Group]) -> dict[WorldSet, Form
     Returns each definable set with a shortest witness formula (ties
     broken by the rendered string), keys ascending by bit vector.
     """
-    pool = list(group_pool)
+    pool = _group_pool(group_pool)
     n = len(m.worlds)
     full = (1 << n) - 1
     fams = {g: group_families(m, g) for g in pool}

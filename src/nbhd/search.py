@@ -31,7 +31,7 @@ from .logics import (
 )
 from .model import (
     AgentModel, NeighbourhoodMap, World, WorldSet, _SharedMap, _agent_model,
-    _first_outside, model_to_dict, truth_set, unions_up_to,
+    _first_outside, _group_pool, model_to_dict, truth_set, unions_up_to,
 )
 
 __all__ = [
@@ -261,14 +261,7 @@ class SchemaTarget:
                              f"got {self.schema!r}")
         _check_mode(self.mode)
         if self.pool is not None:
-            try:
-                pool = tuple(self.pool)
-            except TypeError:
-                pool = None
-            if not pool or not all(isinstance(g, Group) for g in pool):
-                raise InputError("the group pool must be None or a nonempty "
-                                 f"collection of Groups, got {self.pool!r}")
-            object.__setattr__(self, "pool", pool)
+            object.__setattr__(self, "pool", _group_pool(self.pool, True))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ from nbhd import (
     instantiate_schema, is_axiom_instance, logic_from_dict, logic_to_dict,
     match_schema, parse, parse_schema, proof_from_dict, proof_to_dict, render,
 )
-from nbhd import GeneralModel, PG, group_families
+from nbhd import (
+    GeneralModel, PG, SchemaTarget, definable_sets, group_families,
+    parse_condition,
+)
 from nbhd import PSchema as P
 from nbhd.logics import (
     _FILTERS, _VIOLATIONS, _flagged, _instances, _set_range,
@@ -75,6 +78,15 @@ def test_parse_schema_reads_agents_as_decimal_digits(arg):
     with pytest.raises(InputError) as exc:
         parse_schema("nec:" + arg)
     assert str(exc.value) == f"schema 'nec' needs an agent id, got {arg!r}"
+
+
+@pytest.mark.parametrize("read", [parse_schema, parse_condition])
+@pytest.mark.parametrize("value", [5, None, b"b1"])
+def test_text_readers_need_a_string(read, value):
+    with pytest.raises(InputError) as exc:
+        read(value)
+    assert str(exc.value) == (
+        f"{read.__name__} needs a string, got {type(value).__name__}")
 
 
 def test_logic_descriptor():
@@ -303,6 +315,20 @@ def test_check_schema_argument_errors(monkeypatch):
         check_schema_semantically(m, B1)
 
 
+@pytest.mark.parametrize("check", [
+    lambda pool: check_schema_semantically(fixture("M1"), B1, group_pool=pool),
+    lambda pool: definable_sets(fixture("M1"), pool),
+    lambda pool: SchemaTarget(B1, pool=pool),
+], ids=["checker", "definable-sets", "target"])
+@pytest.mark.parametrize("pool", [[5], "ab", 3, [G1, None]])
+def test_every_pool_reader_rejects_what_is_no_collection_of_groups(check,
+                                                                   pool):
+    with pytest.raises(InputError) as exc:
+        check(pool)
+    assert str(exc.value) == ("the group pool must be None or a nonempty "
+                              f"collection of Groups, got {pool!r}")
+
+
 def test_disagreement_note_is_skipped_over_the_guard(monkeypatch):
     monkeypatch.setenv("NBHD_MAX_STATES", "3")
     v = check_schema_semantically(fixture("NONREFLEXIVE"), TG,
@@ -374,6 +400,18 @@ def test_world_filters_flag_every_violating_world(case):
                 assert flagged == list(range(n)), kind
             elif len(rng) == 1 << n or kind != "B4":
                 assert flagged == yielding, (kind, list(rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_filter_cases())
+def test_set_ranges_are_closed_under_complement(case):
+    # DI's frame test reads a set's complement in the range-cut family
+    # only, which is exact because every set range is closed this way.
+    m, pool, _ = case
+    full = (1 << len(m.worlds)) - 1
+    for mode in ("all-subsets", "definable-only"):
+        rng = set(_set_range(m, mode, pool)[0])
+        assert {full ^ x for x in rng} == rng, mode
 
 
 def _timeout(signum, frame):
