@@ -439,7 +439,7 @@ def default_group_pool(m: Model) -> tuple[Group, ...]:
 
 def _group_pool(pool: object, nonempty: bool = False) -> tuple[Group, ...]:
     """The Groups of ``pool``, nonempty if ``nonempty``; else InputError."""
-    groups = tuple(pool) if isinstance(pool, Iterable) else None
+    groups = tuple(pool) if hasattr(pool, "__iter__") else None
     if (groups is None or nonempty and not groups
             or not all(isinstance(g, Group) for g in groups)):
         raise InputError("the group pool must be None or a nonempty "
