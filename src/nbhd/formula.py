@@ -204,6 +204,10 @@ class Box(Formula):
     group: Group
     body: Formula
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.group, Group):
+            raise InputError(f"a box's group is a Group, got {self.group!r}")
+
 
 # ---------------------------------------------------------------------------
 # Binary connectives

@@ -73,6 +73,10 @@ class PGroup:
     """The empty set is outside the group's (derived) family everywhere."""
     group: Group
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.group, Group):
+            raise InputError(f"PGroup needs a Group, got {self.group!r}")
+
 
 @dataclass(frozen=True)
 class _EveryCondition(_Sealed):

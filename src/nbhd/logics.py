@@ -31,15 +31,15 @@ groups in pool order, sets ascending by bit vector.
 
 Every schema has box depth 1, and N_G(w) is built from the members'
 families at w, so whether an instance fails at w depends only on the
-families at w.  A world filter therefore picks the worlds the test
+families at w.  For B3 and B4 a world filter picks the worlds the test
 visits.  It packs a group's families into one int, its code: world w
 owns the 2^n-bit block at offset w * 2^n, whose bit s is set when subset
 s is a member, and one big-int operation per instance covers every
-world, one more cutting the result to a set variable's range (B2, B3,
-B4; B1 and CG compare each pair's product set with the union's family,
-world by world).  A filter never skips a world where the test yields,
-so the tests stay the only source of counterexamples.  A check with
-one instance, or over more than 6 worlds, visits all.
+world, one more cutting the result to the set range.  A filter never
+skips a world where the test yields, so the tests stay the only source
+of counterexamples.  A check with one instance, or over more than 6
+worlds, visits all, as every other kind does; B1 and CG compare each
+pair's product set with the union's family before seeking its witness.
 """
 
 from __future__ import annotations
@@ -89,26 +89,34 @@ __all__ = [
 # are formula metavariables, a box's group is a tuple of group variables
 # standing for their union, and ``A`` is the agent of an agent schema.
 
+
+def _box(names: tuple[str, ...], body: Formula) -> Box:
+    """A pattern's box, past Box's check: its group is variable names."""
+    box = object.__new__(Box)
+    box.__dict__.update(group=names, body=body)
+    return box
+
+
 _PHI, _PSI = Atom("phi"), Atom("psi")
-_AGGREGATION = Implies(And(Box(("G",), _PHI), Box(("H",), _PSI)),
-                       Box(("G", "H"), And(_PHI, _PSI)))
+_AGGREGATION = Implies(And(_box(("G",), _PHI), _box(("H",), _PSI)),
+                       _box(("G", "H"), And(_PHI, _PSI)))
 _PATTERNS: dict[str, Formula] = {
     "B1": _AGGREGATION,
-    "B2": Implies(Box(("G", "H"), Top()), Box(("G",), Top())),
-    "B3": Implies(And(Box(("G",), _PHI), Box(("G", "H", "J"), _PHI)),
-                  Box(("G", "H"), _PHI)),
-    "B4": Implies(And(Box(("G",), _PHI), Box(("H",), Or(_PHI, _PSI))),
-                  Box(("G", "H"), _PHI)),
+    "B2": Implies(_box(("G", "H"), Top()), _box(("G",), Top())),
+    "B3": Implies(And(_box(("G",), _PHI), _box(("G", "H", "J"), _PHI)),
+                  _box(("G", "H"), _PHI)),
+    "B4": Implies(And(_box(("G",), _PHI), _box(("H",), Or(_PHI, _PSI))),
+                  _box(("G", "H"), _PHI)),
     "CG": _AGGREGATION,
-    "SA": Implies(Box(("G",), _PHI), Box(("G", "H"), _PHI)),
-    "TG": Implies(Box(("G",), _PHI), _PHI),
-    "PG": Not(Box(("G",), Bottom())),
-    "RMG": Implies(Box(("G",), _PHI), Box(("G",), Or(_PHI, _PSI))),
-    "NEC": Box(("A",), Top()),
-    "CONEC": Not(Box(("A",), Top())),
-    "P": Not(Box(("A",), Bottom())),
-    "COP": Box(("A",), Bottom()),
-    "DI": Implies(Box(("A",), _PHI), Not(Box(("A",), Not(_PHI)))),
+    "SA": Implies(_box(("G",), _PHI), _box(("G", "H"), _PHI)),
+    "TG": Implies(_box(("G",), _PHI), _PHI),
+    "PG": Not(_box(("G",), Bottom())),
+    "RMG": Implies(_box(("G",), _PHI), _box(("G",), Or(_PHI, _PSI))),
+    "NEC": _box(("A",), Top()),
+    "CONEC": Not(_box(("A",), Top())),
+    "P": Not(_box(("A",), Bottom())),
+    "COP": _box(("A",), Bottom()),
+    "DI": Implies(_box(("A",), _PHI), Not(_box(("A",), Not(_PHI)))),
 }
 
 
@@ -216,6 +224,9 @@ class LogicDescriptor:
         if not isinstance(self.replace_b1_with_cg, bool):
             raise InputError("replace_b1_with_cg must be a bool, got "
                              f"{self.replace_b1_with_cg!r}")
+        if not hasattr(self.extensions, "__iter__"):
+            raise InputError("extensions must be a collection of SchemaIds, "
+                             f"got {self.extensions!r}")
         exts = frozenset(self.extensions)
         for s in exts:
             if not isinstance(s, SchemaId):
@@ -393,7 +404,7 @@ def _instances(kind: str, key: tuple[tuple[int, ...], ...], agent: int | None
     variables.  Table positions ``0 .. len(pool) - 1`` are the pool; each
     later one is an entry of the returned extras, a union the pool lacks
     or the agent's group, numbered in the order the instances meet them,
-    fewest variables first.  Deriving ``pool + extras`` in that order
+    boxes in walk order.  Deriving ``pool + extras`` in that order
     therefore derives what a loop over every instance would, in the same
     order.  Violation tests read only the boxes, so only the first
     instance of each tuple of box groups is kept: it is the one such a
@@ -401,7 +412,6 @@ def _instances(kind: str, key: tuple[tuple[int, ...], ...], agent: int | None
     """
     pool = tuple(Group(members) for members in key)
     boxes, names = _BOXES[kind], _GROUP_VARS[kind]
-    order = sorted(range(len(boxes)), key=lambda b: len(boxes[b]))
     fixed = {} if agent is None else {"A": Group.of(agent)}
     where: dict[Group, int] = {}
     for i, g in enumerate(pool):
@@ -415,10 +425,10 @@ def _instances(kind: str, key: tuple[tuple[int, ...], ...], agent: int | None
         if unions in seen:
             continue
         seen.add(unions)
-        for b in order:
-            if unions[b] not in where:
-                where[unions[b]] = len(pool) + len(extras)
-                extras.append(unions[b])
+        for u in unions:
+            if u not in where:
+                where[u] = len(pool) + len(extras)
+                extras.append(u)
         items.append(tuple(where[u] for u in unions) + (vs,))
     # A guarded set variable, like phi in [G]phi, ranges over its family.
     guards = {i[b] for i in items for b, box in enumerate(boxes)
@@ -435,8 +445,13 @@ def _instances(kind: str, key: tuple[tuple[int, ...], ...], agent: int | None
 
 
 def _aggregation(w, at, mem, items, rng, full):
+    # Products are symmetric, and if g > h the instance at table positions
+    # (h, g) came earlier, at smaller pool positions with the same union:
+    # it passed here, or the check has already stopped.
     for g, h, u, vs in items:
         target = at[u]
+        if g > h or {x & y for x in mem[g] for y in mem[h]} <= target:
+            continue
         for x in mem[g]:
             for y in mem[h]:
                 if (x & y) not in target:
@@ -461,8 +476,7 @@ def _b4(w, at, mem, items, rng, full):
     for g, h, u, vs in items:
         target, fam_h = at[u], at[h]
         for x in mem[g]:
-            # only a superset of x in N_H can be x | psi
-            if x in target or not any(z & x == x for z in fam_h):
+            if x in target:
                 continue
             for y in rng:
                 if (x | y) in fam_h:
@@ -541,8 +555,6 @@ def _b4_worlds(c, items, n):
 
 
 _FILTERS = {
-    "B2": lambda c, items, n:  # the full set's bit in each block
-        _any(c[u] & ~c[g] for u, g, _ in items) & _ones(n) << (1 << n) - 1,
     "B3": lambda c, items, n:
         _any(c[g] & c[l_] & ~c[m_] for g, l_, m_, _ in items),
     "B4": _b4_worlds,
@@ -551,23 +563,12 @@ _FILTERS = {
 _PACKED_WORLDS = 6  # a code takes n * 2^n bits; larger domains go per world
 
 
-def _aggregation_worlds(tab, items, rng, n):
-    """The worlds where a pair's product set leaves the union's family:
-    per world, not packed, and once for both (G,H) and (H,G)."""
-    pairs = [(g, h, u) for g, h, u, _ in items if g <= h]
-    cut = frozenset(rng).__and__ if len(rng) < 1 << n else lambda fam: fam
-    return [w for w in range(n) if any(
-        not {x & y for x in cut(tab[g][w]) for y in cut(tab[h][w])}
-        <= tab[u][w] for g, h, u in pairs)]
-
-
 def _flagged(m: Model, kind: str, groups: tuple, tab: list, items: tuple,
-             guards: tuple, rng: Sequence[int]) -> Sequence[int]:
+             rng: Sequence[int]) -> Sequence[int]:
     """The worlds, ascending, that ``kind``'s filter flags, or all worlds;
-    ``tab`` has the families of ``groups``, whose codes ``m`` caches."""
+    ``tab`` has the families of ``groups``, whose codes ``m`` caches.
+    Only B3 and B4 have a filter; the other tests are cheap per world."""
     n, flt = len(m.worlds), _FILTERS.get(kind)
-    if kind in ("B1", "CG") and len(items) > 1:
-        return _aggregation_worlds(tab, items, rng, n)
     if flt is None or len(items) < 2 or n > _PACKED_WORLDS:
         return range(n)  # one instance costs less world by world
     cache, c = m._code_cache, []
@@ -580,7 +581,7 @@ def _flagged(m: Model, kind: str, groups: tuple, tab: list, items: tuple,
             cache[g.members] = code
         c.append(code)
     f, block = flt(c, items, n), (1 << (1 << n)) - 1
-    if guards and len(rng) < 1 << n:  # exact: AND distributes over OR
+    if len(rng) < 1 << n:  # exact: AND distributes over OR
         f &= sum(map((1).__lshift__, rng)) * _ones(n)
     return [w for w in range(n) if f >> (w << n) & block]
 
@@ -593,7 +594,7 @@ def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
     groups = pool + extras
     tab = [group_families(m, g) for g in groups]
     test, full = _VIOLATIONS[s.kind], (1 << n) - 1
-    for w in _flagged(m, s.kind, groups, tab, items, guards, rng):
+    for w in _flagged(m, s.kind, groups, tab, items, rng):
         at = [f[w] for f in tab]
         mem = {k: [x for x in rng if x in at[k]] for k in guards}
         hit = next(test(w, at, mem, items, rng, full), None)
@@ -638,6 +639,9 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
     saying so (the comparison is skipped when the domain is over the
     all-subsets guard).
     """
+    if not isinstance(s, SchemaId):
+        raise InputError("check_schema_semantically needs a SchemaId, "
+                         f"got {s!r}")
     pool = (_group_pool(group_pool) if group_pool is not None
             else default_group_pool(m))
     if not pool:

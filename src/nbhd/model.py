@@ -70,8 +70,12 @@ class WorldSet:
     @classmethod
     def of(cls, indices: Iterable[int], size: int) -> "WorldSet":
         bits = 0
-        for i in indices:
-            bits |= 1 << i
+        try:
+            for i in indices:
+                bits |= 1 << i
+        except (TypeError, ValueError):  # no iterable, or a bad index
+            raise InputError("world indices are a collection of non-negative "
+                             f"ints, got {indices!r}") from None
         return cls(bits, size)
 
     def _check(self, other: "WorldSet") -> None:
@@ -285,9 +289,14 @@ def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
     ``{empty set}`` default.  Results are cached on the model.
     """
     cache = m._group_cache
-    hit = cache.get(g)
+    try:
+        hit = cache.get(g)
+    except TypeError:  # unhashable, so no Group either
+        hit = None
     if hit is not None:
         return hit
+    if not isinstance(g, Group):
+        raise InputError(f"group_families needs a Group, got {g!r}")
     if isinstance(m, GeneralModel):
         nm = m.groups.get(g)
         out = cache[g] = nm.families if nm is not None else _default_families(m)

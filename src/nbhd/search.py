@@ -85,6 +85,18 @@ class Stream:
 # Bounds
 
 
+def _collection(bounds: "SearchBounds", name: str, what: str) -> tuple:
+    """Field ``name`` of ``bounds`` as a tuple, stored back; InputError if
+    it is no collection, or a string (whose characters would be read)."""
+    value = getattr(bounds, name)
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise InputError(f"{name} must be a collection of {what}, "
+                         f"got {value!r}")
+    value = tuple(value)
+    object.__setattr__(bounds, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class SearchBounds:
     """Search space plus generation mode.
@@ -112,23 +124,17 @@ class SearchBounds:
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.max_worlds < 1:
             raise InputError("max_worlds must be at least 1")
-        try:
-            agents = tuple(self.agents)
-        except TypeError:
-            raise InputError("agents must be a collection of agent ids, "
-                             f"got {self.agents!r}") from None
+        agents, atoms, constraints = (
+            _collection(self, "agents", "agent ids"),
+            _collection(self, "atoms", "names"),
+            _collection(self, "frame_constraints", "frame conditions"))
         if not agents or len(agent_ids(agents)) != len(agents):
             raise InputError("agents must be distinct and nonempty")
-        object.__setattr__(self, "agents", agents)
-        atoms = tuple(self.atoms)
         if not all(isinstance(x, str) for x in atoms):
             raise InputError(f"atoms are names, got {atoms!r}")
         if len(set(atoms)) != len(atoms):
             raise InputError("atoms must be distinct")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "frame_constraints",
-                           tuple(self.frame_constraints))
-        for c in self.frame_constraints:
+        for c in constraints:
             if type(c) not in _BY_CLASS:
                 raise InputError(f"unknown frame constraint {c!r}")
             for a in _named_agents(c):

@@ -76,7 +76,7 @@ from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nbhd import (
     AgentModel, And, Atom, AxiomRef, B2, B3, BinaryConsistent, Bottom, Box,
@@ -591,8 +591,25 @@ def _assert_same(case, s, mode, pool):
     assert got == want
 
 
+# B1 and CG fail only for {2} and {1}, at w1, and the pool lists {2}
+# first: the report must come from that pair in pool order.
+_REVERSED_PAIR = (2, True, {
+    Group.of(0): [{3}, {3}], Group.of(1): [{3}, {2, 3}],
+    Group.of(2): [{3}, {1, 3}], Group.of(0, 1): [{3}, {2, 3}],
+    Group.of(0, 2): [{3}, {1, 3}], Group.of(1, 2): [{3}, {1, 2, 3}],
+}, {"p": 1}, (Group.of(2), Group.of(0), Group.of(1)), 0)
+# A pool holding {0} twice: its second copy shares the first's table
+# position, so instances through it repeat earlier ones.
+_REPEATED_GROUP = (2, True, {
+    Group.of(0): [{1}, {1, 3}], Group.of(1): [{3}, {2, 3}],
+    Group.of(0, 1): [{1}, {2, 3}],
+}, {"p": 2}, (Group.of(0), Group.of(1), Group.of(0)), 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cases())
+@example(_REVERSED_PAIR)
+@example(_REPEATED_GROUP)
 def test_kernel_matches_reference_checker(case):
     n, general, families, valuation, pool, agent = case
     for kind in _KINDS:

@@ -17,8 +17,8 @@ from nbhd import (
     match_schema, parse, parse_schema, proof_from_dict, proof_to_dict, render,
 )
 from nbhd import (
-    GeneralModel, PG, SchemaTarget, definable_sets, group_families,
-    parse_condition,
+    Box, GeneralModel, PG, PGroup, SchemaTarget, SearchBounds,
+    definable_sets, group_families, parse_condition,
 )
 from nbhd import PSchema as P
 from nbhd.logics import (
@@ -329,6 +329,44 @@ def test_every_pool_reader_rejects_what_is_no_collection_of_groups(check,
                               f"collection of Groups, got {pool!r}")
 
 
+_RE_ON_NO_GROUP = Proof((ProofLine(parse("p <-> p"), Taut()),
+                         ProofLine(parse("[1]p <-> [1]p"), RE(1, 5))))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Box(5, p), "a box's group is a Group, got 5"),
+    (lambda: PGroup(5), "PGroup needs a Group, got 5"),
+    (lambda: group_families(fixture("M1"), 5),
+     "group_families needs a Group, got 5"),
+    (lambda: group_families(fixture("NONREFLEXIVE"), "ab"),
+     "group_families needs a Group, got 'ab'"),
+    (lambda: group_families(fixture("M1"), [1]),
+     "group_families needs a Group, got [1]"),
+    (lambda: check_proof(_RE_ON_NO_GROUP, BASE_LOGIC),
+     "a box's group is a Group, got 5"),
+    (lambda: WorldSet.of([-1], 2),
+     "world indices are a collection of non-negative ints, got [-1]"),
+    (lambda: WorldSet.of(5, 2),
+     "world indices are a collection of non-negative ints, got 5"),
+    (lambda: SearchBounds(1, (1,), seed=1, atoms="pq"),
+     "atoms must be a collection of names, got 'pq'"),
+    (lambda: SearchBounds(1, (1,), seed=1, atoms=5),
+     "atoms must be a collection of names, got 5"),
+    (lambda: SearchBounds(1, (1,), seed=1, frame_constraints=5),
+     "frame_constraints must be a collection of frame conditions, got 5"),
+    (lambda: LogicDescriptor(5),
+     "extensions must be a collection of SchemaIds, got 5"),
+    (lambda: check_schema_semantically(fixture("M1"), "b1"),
+     "check_schema_semantically needs a SchemaId, got 'b1'"),
+], ids=["box", "pgroup", "families-int", "families-str", "families-list",
+        "proof-re", "worldset-negative", "worldset-int", "atoms-str",
+        "atoms-int", "constraints-int", "logic-int", "checker-schema"])
+def test_wrong_typed_arguments_raise_input_error(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_disagreement_note_is_skipped_over_the_guard(monkeypatch):
     monkeypatch.setenv("NBHD_MAX_STATES", "3")
     v = check_schema_semantically(fixture("NONREFLEXIVE"), TG,
@@ -381,12 +419,12 @@ def test_world_filters_flag_every_violating_world(case):
     n, full = len(m.worlds), (1 << len(m.worlds)) - 1
     for rng in (range(1 << n), _set_range(m, "definable-only", pool)[0],
                 drawn):
-        for kind in ("B1", "CG", *_FILTERS):
+        for kind in _FILTERS:
             extras, items, guards = _instances(
                 kind, tuple(g.members for g in pool), None)
             groups = pool + extras
             tab = [group_families(m, g) for g in groups]
-            flagged = list(_flagged(m, kind, groups, tab, items, guards, rng))
+            flagged = list(_flagged(m, kind, groups, tab, items, rng))
             yielding = []
             for w in range(n):
                 at = [f[w] for f in tab]
