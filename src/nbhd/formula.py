@@ -206,7 +206,7 @@ class Box(Formula):
 
     def __post_init__(self) -> None:
         if not isinstance(self.group, Group):
-            raise InputError(f"a box's group is a Group, got {self.group!r}")
+            raise InputError(f"Box needs a Group, got {self.group!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ s is a member, and one big-int operation per instance covers every
 world, one more cutting the result to the set range.  A filter never
 skips a world where the test yields, so the tests stay the only source
 of counterexamples.  A check with one instance, or over more than 6
-worlds, visits all, as every other kind does; B1 and CG compare each
-pair's product set with the union's family before seeking its witness.
+worlds, visits all, as every other kind does; B1 and CG test each
+unordered pair of groups once per world.
 """
 
 from __future__ import annotations
@@ -449,9 +449,9 @@ def _aggregation(w, at, mem, items, rng, full):
     # (h, g) came earlier, at smaller pool positions with the same union:
     # it passed here, or the check has already stopped.
     for g, h, u, vs in items:
-        target = at[u]
-        if g > h or {x & y for x in mem[g] for y in mem[h]} <= target:
+        if g > h:
             continue
+        target = at[u]
         for x in mem[g]:
             for y in mem[h]:
                 if (x & y) not in target:
@@ -476,7 +476,8 @@ def _b4(w, at, mem, items, rng, full):
     for g, h, u, vs in items:
         target, fam_h = at[u], at[h]
         for x in mem[g]:
-            if x in target:
+            # only a superset of x in N_H can be x | psi
+            if x in target or not any(z & x == x for z in fam_h):
                 continue
             for y in rng:
                 if (x | y) in fam_h:
@@ -685,6 +686,10 @@ class MP:
 class RE:
     source: int
     group: Group
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.group, Group):
+            raise InputError(f"RE needs a Group, got {self.group!r}")
 
 
 Justification = Taut | AxiomRef | MP | RE
