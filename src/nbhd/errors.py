@@ -5,11 +5,15 @@ Everything raised on purpose derives from :class:`NbhdError`, so callers
 genuine bugs with one except clause; :class:`InputError` is a ValueError too.
 Each resource guard is one row of ``GUARDS``; a site passes what it needs to
 :func:`guard`, or on a hot path compares it with :func:`limit` first.
+Inside :func:`limits_read_once` every guard uses the NBHD_MAX_STATES read
+on entry; elsewhere each guard reads it.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 
 class NbhdError(Exception):
@@ -88,12 +92,31 @@ GUARDS = {
 }
 
 
+# NBHD_MAX_STATES as read on entry to the innermost limits_read_once
+# block in force, in a 1-tuple, since the variable may be unset
+_READ: ContextVar = ContextVar("nbhd_max_states_read")
+
+
+@contextmanager
+def limits_read_once():
+    """Read NBHD_MAX_STATES once for the block: every guard inside it
+    uses that value."""
+    token = _READ.set((os.environ.get("NBHD_MAX_STATES"),))
+    try:
+        yield
+    finally:
+        _READ.reset(token)
+
+
 def limit(name: str) -> int:
     """The limit in force for guard ``name``: NBHD_MAX_STATES where the
-    row lets it lower the built-in limit.  The one reader of that
+    row lets it lower the built-in limit.  The one parser of that
     variable, so a bad value fails alike in every lowerable guard."""
     default, lowerable, _ = GUARDS[name]
-    raw = os.environ.get("NBHD_MAX_STATES") if lowerable else None
+    if not lowerable:
+        return default
+    read = _READ.get(None)
+    raw = os.environ.get("NBHD_MAX_STATES") if read is None else read[0]
     if not raw:
         return default
     try:

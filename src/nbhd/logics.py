@@ -595,9 +595,12 @@ def _find_counterexample(m: Model, s: SchemaId, pool: tuple[Group, ...],
     groups = pool + extras
     tab = [group_families(m, g) for g in groups]
     test, full = _VIOLATIONS[s.kind], (1 << n) - 1
+    # rng holds distinct sets, so it is every subset if it has 2^n
+    keep = None if len(rng) == 1 << n else frozenset(rng)
     for w in _flagged(m, s.kind, groups, tab, items, rng):
         at = [f[w] for f in tab]
-        mem = {k: [x for x in rng if x in at[k]] for k in guards}
+        mem = {k: sorted(at[k] if keep is None else at[k] & keep)
+               for k in guards}
         hit = next(test(w, at, mem, items, rng, full), None)
         if hit is not None:
             vs, sets = hit
@@ -616,11 +619,11 @@ def _check_mode(mode: object) -> None:
 
 
 def _set_range(m: Model, mode: str, pool: tuple[Group, ...]
-               ) -> tuple[list[int], bool]:
+               ) -> tuple[Sequence[int], bool]:
     n = len(m.worlds)
     if mode == "all-subsets":
         guard("subsets", 1 << n, worlds=n)
-        return list(range(1 << n)), True
+        return range(1 << n), True
     _check_mode(mode)
     bits = [ws.bits for ws in definable_sets(m, pool)]
     return bits, len(bits) == (1 << n)

@@ -40,6 +40,14 @@ __all__ = [
     "FIXTURE_NAMES",
 ]
 
+def _show(value: object) -> str:
+    """``repr(value)``, or the bit length of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past the int-to-str digit limit
+        return f"<int of {value.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class World:
     index: int
@@ -57,7 +65,8 @@ class WorldSet:
         bits, size = self.bits, self.size
         if not (isinstance(bits, int) and isinstance(size, int) and size >= 0
                 and 0 <= bits < (1 << size)):
-            raise InputError(f"bits {bits!r} out of range for {size!r} worlds")
+            raise InputError(f"bits {_show(bits)} out of range for "
+                             f"{_show(size)} worlds")
 
     @classmethod
     def empty(cls, size: int) -> "WorldSet":
@@ -69,13 +78,20 @@ class WorldSet:
 
     @classmethod
     def of(cls, indices: Iterable[int], size: int) -> "WorldSet":
-        bits = 0
+        bits, over = 0, None
         try:
             for i in indices:
+                # before the shift, which would build the whole huge int
+                if isinstance(i, int) and isinstance(size, int) and i >= size:
+                    over = i
+                    break
                 bits |= 1 << i
         except (TypeError, ValueError):  # no iterable, or a bad index
             raise InputError("world indices are a collection of non-negative "
                              f"ints, got {indices!r}") from None
+        if over is not None:
+            raise InputError(f"world index {_show(over)} out of range for "
+                             f"{size} worlds")
         return cls(bits, size)
 
     def _check(self, other: "WorldSet") -> None:
@@ -140,7 +156,8 @@ class NeighbourhoodMap:
         for fam in fams:
             for bits in fam:
                 if not isinstance(bits, int) or not 0 <= bits < top:
-                    raise InputError(f"member {bits!r} out of range for {size} worlds")
+                    raise InputError(f"member {_show(bits)} out of range "
+                                     f"for {size} worlds")
         self.size = size
         self.families = fams
 
@@ -308,12 +325,17 @@ def group_families(m: Model, g: Group) -> tuple[frozenset[int], ...]:
     for a in g:
         member_fams.append(maps[a].families if a in maps
                            else _default_families(m))
-    first, rest = member_fams[0], member_fams[1:]  # a Group has a member
+    # N_G is N_P (x) N_a for G = P + {a}, a its last member: start from
+    # N_P if it is cached, else from the first member (a Group has one)
+    members = g.members
+    prefix = cache.get(Group(members[:-1])) if len(members) > 2 else None
+    first, rest = ((prefix, member_fams[-1:]) if prefix is not None
+                   else (member_fams[0], member_fams[1:]))
     cap = limit("product")
     per_world = []
     for w, acc in enumerate(first):
-        product = len(acc)
-        for fams in rest:
+        product = 1  # the guard counts the whole product, prefix or not
+        for fams in member_fams:
             product *= len(fams[w])
         if product > cap:
             guard("product", product, group=g, world=m.worlds[w].label)

@@ -19,7 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConstraintError, InputError, guard, limit
+from .errors import (
+    GUARDS, ConstraintError, InputError, guard, limit, limits_read_once,
+)
 from .formula import Formula, Group, agent_ids
 from .frames import (
     FrameCondition, _BY_CLASS, _CONDITIONS, _named_agents, _repair,
@@ -159,12 +161,30 @@ class SearchBounds:
 # Random generation with constraint repair
 
 
-def _worlds(n: int) -> tuple[World, ...]:
-    return tuple(World(i, f"w{i}") for i in range(n))
+# The worlds of a generated model over n worlds, for every n the
+# random-worlds guard admits; models share them, as worlds are immutable
+_WORLDS = tuple(tuple(World(i, f"w{i}") for i in range(n))
+                for n in range(GUARDS["random-worlds"][0] + 1))
+
+
+def _byte_table(low: int) -> tuple[frozenset[int], ...]:
+    """Entry b holds ``low + s`` for each bit s set in the byte b."""
+    table = (frozenset(),)
+    for s in range(low, low + 8):
+        table += tuple(fam | {s} for fam in table)
+    return table
+
+
+# the low and the high byte of a code over up to 4 worlds, by lookup
+_LOW, _HIGH = _byte_table(0), _byte_table(8)
 
 
 def _families(codes: Iterable[int], n: int) -> list[frozenset[int]]:
     """The family of each code over ``n`` worlds: its bit s is subset s."""
+    if n <= 3:
+        return [_LOW[code] for code in codes]
+    if n == 4:
+        return [_LOW[code & 255] | _HIGH[code >> 8] for code in codes]
     return [frozenset(s for s in range(1 << n) if (code >> s) & 1)
             for code in codes]
 
@@ -190,7 +210,7 @@ def random_model(bounds: SearchBounds, draw: int) -> AgentModel:
     valuation = {atom: WorldSet(rng.below(1 << n), n) for atom in bounds.atoms}
     families = {a: _families([rng.below(1 << (1 << n)) for _w in range(n)], n)
                 for a in bounds.agents}
-    model = _agent_model(_worlds(n), valuation,
+    model = _agent_model(_WORLDS[n], valuation,
                          _repair(families, n, bounds.frame_constraints))
     for c in bounds.frame_constraints:
         verdict = check_condition(model, c)
@@ -228,7 +248,7 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
     new_map = (_SharedMap if len(bounds.agents) > 1 or bounds.atoms
                else NeighbourhoodMap)
     for n in range(1, bounds.max_worlds + 1):
-        worlds = _worlds(n)
+        worlds = _WORLDS[n]
         n_sets = 1 << n
         # one map per tuple of per-world family codes, first world slowest
         fams = _families(range(1 << n_sets), n)
@@ -287,6 +307,7 @@ def _refutes(m: AgentModel, target: "Formula | SchemaTarget"
     return _first_outside(m, truth_set(m, target))
 
 
+@limits_read_once()
 def find_countermodel(target: "Formula | SchemaTarget",
                       bounds: SearchBounds) -> "SearchResult | None":
     """First model in the bounds on which the target fails.
@@ -294,7 +315,7 @@ def find_countermodel(target: "Formula | SchemaTarget",
     For a formula the witness is the first world (ascending) where it
     is false; for a schema it is the first semantic counterexample.
     Returning None means none was found *within the bounds* — it is
-    never a validity proof.
+    never a validity proof.  NBHD_MAX_STATES is read once per call.
     """
     exhaustive = bounds.mode == "exhaustive"
     models = (exhaustive_models(bounds) if exhaustive else
@@ -366,6 +387,7 @@ class FuzzReport:
         }
 
 
+@limits_read_once()
 def soundness_fuzz(l: LogicDescriptor, bounds: SearchBounds) -> FuzzReport:
     """Check every schema of ``l`` on each generated model (all-subsets
     mode) and report the violations, least draw first.
@@ -373,6 +395,7 @@ def soundness_fuzz(l: LogicDescriptor, bounds: SearchBounds) -> FuzzReport:
     The bounds must carry the frame constraints the logic corresponds
     to (see :func:`required_constraints`); without them violations
     would be expected, not news, so the mismatch is an error.
+    NBHD_MAX_STATES is read once per call.
     """
     if bounds.mode != "random":
         raise InputError("soundness_fuzz needs bounds in random mode")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbhd import (
     AgentModel, Atom, FIXTURE_NAMES, GeneralModel, Group, InputError,
@@ -169,6 +170,47 @@ def test_constructors_reject_wrong_typed_values(build, error, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: WorldSet(1 << 20000, 2),
+     "bits <int of 20001 bits> out of range for 2 worlds"),
+    (lambda: WorldSet.of([10 ** 8], 2),
+     "world index 100000000 out of range for 2 worlds"),
+    (lambda: WorldSet.of([0, 1 << 20000], 2),
+     "world index <int of 20001 bits> out of range for 2 worlds"),
+    (lambda: NeighbourhoodMap(2, [{1 << 20000}, set()]),
+     "member <int of 20001 bits> out of range for 2 worlds"),
+], ids=["worldset-bits", "worldset-of", "worldset-of-huge", "map-member"])
+def test_huge_ints_raise_input_error_without_printing_them(build, message):
+    # str() of an int over 4 300 digits raises ValueError: a message
+    # must not format one
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+_W = World(0, "w")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: GeneralModel((_W,), {}, {5: NeighbourhoodMap(1, [set()])}),
+     "group keys must be Group, got 5"),
+    (lambda: AgentModel((), {}, {}), "a model needs at least one world"),
+    (lambda: AgentModel((World(1, "w"),), {}, {}),
+     "world indices must be dense and ordered"),
+    (lambda: AgentModel((World(1, "v"), _W), {}, {}),
+     "world indices must be dense and ordered"),
+    (lambda: GeneralModel((_W, World(1, "w")), {}, {}),
+     "duplicate world label 'w'"),
+    (lambda: AgentModel(_UV, {"p": WorldSet(1, 1)}, {}),
+     "valuation of 'p' has wrong domain size"),
+], ids=["group-key", "no-worlds", "index-gap", "index-order",
+        "duplicate-label", "valuation-size"])
+def test_models_reject_bad_structure(build, message):
+    with pytest.raises(ModelFormatError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_private_constructor_builds_the_same_model():
     # exhaustive search builds its candidates with _agent_model: it must
     # set every field AgentModel sets, and AgentModel checks the agents
@@ -245,6 +287,75 @@ def test_product_guard(monkeypatch):
         with pytest.raises(ResourceLimitError,
                            match=f"NBHD_MAX_STATES='{bad}' is not a positive"):
             group_families(m, G12)
+
+
+def _fold(m, g):
+    """N_G by the paper's definition: the members' families at each
+    world intersected pointwise, in member order."""
+    out = []
+    for w in range(len(m.worlds)):
+        acc = None
+        for a in g.members:
+            fam = m.agents[a].families[w] if a in m.agents else frozenset()
+            acc = fam if acc is None else frozenset(
+                x & y for x in acc for y in fam)
+        out.append(acc)
+    return tuple(out)
+
+
+@st.composite
+def _models_and_pools(draw):
+    """An AgentModel over agents 0-5, some of them absent and some
+    families empty, and a pool of groups of 1-5 members in any order;
+    some groups come with the group of all their members but the last,
+    so a derivation finds its prefix cached in some orders only."""
+    n = draw(st.integers(1, 3))
+    subsets = st.integers(0, (1 << n) - 1)
+    present = draw(st.sets(st.integers(0, 5), min_size=1))
+    agents = {a: NeighbourhoodMap(n, draw(st.lists(
+        st.frozensets(subsets, max_size=4), min_size=n, max_size=n)))
+        for a in sorted(present)}
+    m = AgentModel(tuple(World(i, f"w{i}") for i in range(n)), {}, agents)
+    groups = draw(st.lists(st.sets(st.integers(0, 5), min_size=1,
+                                   max_size=5), min_size=1, max_size=6))
+    pool = []
+    for members in groups:
+        g = Group(tuple(members))
+        pool.append(g)
+        if len(g) > 2 and draw(st.booleans()):
+            pool.append(Group(g.members[:-1]))
+    return m, draw(st.permutations(pool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_models_and_pools())
+def test_group_families_is_the_member_order_fold(case):
+    m, pool = case
+    for g in pool:
+        assert group_families(m, g) == _fold(m, g)
+
+
+def test_product_guard_counts_the_whole_product_from_a_cached_prefix(
+        monkeypatch):
+    # {0,1} has 2 * 2 = 4 intersections but only 3 distinct sets, so
+    # {0,1,2} from that prefix would take 3 * 2 = 6, not 8
+    def model():
+        return AgentModel((World(0, "u"), World(1, "v")), {}, {
+            0: NeighbourhoodMap(2, [{1, 2}] * 2),
+            1: NeighbourhoodMap(2, [{1, 3}] * 2),
+            2: NeighbourhoodMap(2, [{0, 3}] * 2)})
+    monkeypatch.setenv("NBHD_MAX_STATES", "6")
+    errors = []
+    for prefix in ((), ((0, 1),)):
+        m = model()
+        for members in prefix:
+            assert group_families(m, Group(members)) == (
+                frozenset({0, 1, 2}),) * 2
+        with pytest.raises(ResourceLimitError) as exc:
+            group_families(m, Group((0, 1, 2)))
+        errors.append((str(exc.value), exc.value.requested))
+    assert errors == [("group 0,1,2 needs 8 intersections at world u, over "
+                       "the 6 guard", 8)] * 2
 
 
 # ---------------------------------------------------------------------------

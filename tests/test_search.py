@@ -2,9 +2,14 @@
 
 import itertools
 import json
+import os
+import random
+from types import SimpleNamespace
 
 import pytest
 
+import nbhd.errors
+import nbhd.search
 from nbhd import (
     AgentModel, B1, B2, B3, B4, BASE_LOGIC, BinaryConsistent, CG, CONEC, COP,
     Conec, ConstraintError, Cop, CounterExample, DI, FuzzReport, Group,
@@ -14,9 +19,10 @@ from nbhd import (
     check_condition, check_schema_semantically, close_under_intersections,
     counterexample_to_dict, exhaustive_models, find_countermodel, fixture,
     model_from_dict, model_to_dict, parse, random_model, required_constraints,
-    satisfies, soundness_fuzz,
+    SchemaVerdict, format_schema, satisfies, soundness_fuzz,
 )
 from nbhd import PCondition as P
+from nbhd.search import _families
 
 G1, G12 = Group.of(1), Group.of(1, 2)
 
@@ -421,3 +427,143 @@ def test_counterexample_to_dict_with_agent():
     m = fixture("NONREFLEXIVE")
     assert counterexample_to_dict(CounterExample("w", agent=1), m) \
         == {"world": "w", "agent": 1}
+
+
+def _scan(code, n):
+    return frozenset(s for s in range(1 << n) if code >> s & 1)
+
+
+def test_family_tables_decode_like_the_bit_scan():
+    for n in range(1, 5):  # every code
+        codes = range(1 << (1 << n))
+        assert _families(codes, n) == [_scan(c, n) for c in codes]
+    rng = random.Random(21)
+    for n in range(3, 7):
+        top = (1 << (1 << n)) - 1
+        codes = [0, top] + [rng.randrange(top + 1) for _ in range(2000)]
+        assert _families(codes, n) == [_scan(c, n) for c in codes]
+
+
+# ---------------------------------------------------------------------------
+# NBHD_MAX_STATES, read once per driver call
+
+
+class _Environ(dict):
+    """A copy of the environment that counts reads of NBHD_MAX_STATES."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        if key == "NBHD_MAX_STATES":
+            self.reads += 1
+        return super().get(key, default)
+
+
+@pytest.fixture
+def environ(monkeypatch):
+    env = _Environ(os.environ)
+    env.pop("NBHD_MAX_STATES", None)
+    monkeypatch.setattr(nbhd.errors, "os", SimpleNamespace(environ=env))
+    return env
+
+
+def test_fuzz_records_violations_least_draw_first(monkeypatch, environ):
+    # B1-B4 hold on every agent model, so a stand-in checker refutes
+    # chosen schemas on chosen draws, after the real check has run
+    b = _bounds(trials=10, agents=(1, 2, 3), max_worlds=4, seed=21)
+    real, seen = check_schema_semantically, []
+    refute = {(7, B3), (2, B4), (2, B1)}
+
+    def check(m, s, mode, pool):
+        draw = len(seen) // 4  # B1-B4 per draw
+        seen.append((draw, s))
+        verdict = real(m, s, mode, pool)
+        assert verdict.valid and environ.reads == 1
+        if (draw, s) not in refute:
+            return verdict
+        return SchemaVerdict(False, CounterExample(
+            m.worlds[-1].label, (("G", pool[-1]),),
+            (("phi", WorldSet.full(len(m.worlds))),)))
+
+    monkeypatch.setattr(nbhd.search, "check_schema_semantically", check)
+    report = soundness_fuzz(BASE_LOGIC, b)
+    assert environ.reads == 1 and len(seen) == 40
+    assert [(v.draw, v.schema) for v in report.violations] == [
+        (2, B1), (2, B4), (7, B3)]
+    lines, data = report.to_text().split("\n"), report.to_json_dict()
+    assert lines[:3] == ["trials: 10", "schemas: b1 b2 b3 b4", "violations: 3"]
+    assert json.loads(json.dumps(data)) == data
+    for v, line, entry in zip(report.violations, lines[3:],
+                              data["violations"]):
+        m = random_model(b, v.draw)
+        assert v.model == m
+        assert v.witness == CounterExample(
+            m.worlds[-1].label, (("G", Group.of(1, 2, 3)),),
+            (("phi", WorldSet.full(len(m.worlds))),))
+        assert line == (f"violation: draw {v.draw} schema "
+                        f"{format_schema(v.schema)} at "
+                        f"{v.witness.describe()}")
+        assert entry == {
+            "draw": v.draw, "model": model_to_dict(m),
+            "schema": format_schema(v.schema),
+            "witness": counterexample_to_dict(v.witness, m)}
+    assert [e["draw"] for e in data["violations"]] == [2, 2, 7]
+
+
+def test_drivers_read_max_states_once_per_call(environ):
+    two = SearchBounds(max_worlds=2, agents=(1,), mode="exhaustive")
+    calls = [
+        lambda: soundness_fuzz(BASE_LOGIC, _bounds(trials=20)),
+        lambda: find_countermodel(SchemaTarget(B1), _bounds(trials=20)),
+        lambda: find_countermodel(parse("[1,2]p"), _bounds(trials=20)),
+        # valid, so all 260 candidates are derived and checked
+        lambda: find_countermodel(parse("[1]p | ~[1]p"), two),
+    ]
+    for call in calls:
+        before = environ.reads
+        call()
+        assert environ.reads == before + 1
+    # a guard outside a driver call reads it as it checks
+    before = environ.reads
+    check_schema_semantically(random_model(_bounds(agents=(1, 2, 3)), 0), B1)
+    assert environ.reads >= before + 2
+
+
+@pytest.mark.parametrize("call,guard", [
+    (lambda: soundness_fuzz(BASE_LOGIC, _bounds()), "subsets"),
+    (lambda: find_countermodel(parse("[1]p"), _bounds()), "product"),
+    (lambda: find_countermodel(parse("p"), SearchBounds(
+        max_worlds=1, agents=(1,), mode="exhaustive")), "visits"),
+])
+def test_bad_max_states_fails_in_the_first_guard_a_driver_meets(
+        monkeypatch, call, guard):
+    monkeypatch.setenv("NBHD_MAX_STATES", "lots")
+    with pytest.raises(ResourceLimitError) as exc:
+        call()
+    err = exc.value
+    assert str(err) == "NBHD_MAX_STATES='lots' is not a positive integer"
+    assert (err.guard, err.limit, err.requested) == (
+        guard, nbhd.errors.GUARDS[guard][0], None)
+
+
+def test_max_states_set_during_a_driver_call_holds_from_the_next(
+        monkeypatch):
+    monkeypatch.delenv("NBHD_MAX_STATES", raising=False)
+    draw_model = nbhd.search.random_model
+
+    def lower_then_draw(bounds, draw):
+        monkeypatch.setenv("NBHD_MAX_STATES", "1")
+        return draw_model(bounds, draw)
+
+    monkeypatch.setattr(nbhd.search, "random_model", lower_then_draw)
+    b = _bounds(trials=5)
+    for call, guard in (
+            (lambda: soundness_fuzz(BASE_LOGIC, b), "subsets"),
+            (lambda: find_countermodel(SchemaTarget(B2), b), "subsets"),
+            (lambda: find_countermodel(parse("[1]p | ~[1]p"), b),
+             "product")):
+        monkeypatch.delenv("NBHD_MAX_STATES", raising=False)
+        call()  # every guard of the call has the limit read on entry
+        with pytest.raises(ResourceLimitError) as exc:
+            call()
+        assert (exc.value.guard, exc.value.limit) == (guard, 1)
