@@ -50,7 +50,10 @@ __all__ = ["main"]
 
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    atoms = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not atoms:  # an empty list, not a missing option
+        raise InputError(f"empty atom list {text!r}")
+    return atoms
 
 
 def _parse_pool(text: str) -> tuple[Group, ...]:

@@ -18,7 +18,7 @@ which fields of a node hold its subformulas.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import FormulaSyntaxError, InputError, guard
@@ -31,14 +31,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Group:
+class _Sealed:
+    """Takes no attributes: setting or deleting any name raises
+    ``dataclasses.FrozenInstanceError``, as on a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # only on this path
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Value(_Sealed):
+    """An immutable value: equal to a value of its own class whose fields
+    are equal, hashed as the tuple of its fields and shown by them.
+
+    Its fields are the names in the ``__slots__`` along its MRO, base
+    first, except those starting with "_" (a model's caches).  Each
+    subclass declares ``__slots__``, empty if it adds no field, and its
+    ``__init__`` sets each slot with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        names = tuple(name for c in reversed(cls.__mro__)
+                      for name in vars(c).get("__slots__", ())
+                      if not name.startswith("_"))
+        cls._fields = cls.__match_args__ = names
+        # What __eq__ compares: the value of one field, the tuple of
+        # several, or with none the class, which is equal by then.
+        key = cls._key = attrgetter(*names or ("__class__",))
+        # The tuple of the field values, which __hash__ hashes.
+        cls._values = key if len(names) > 1 else staticmethod(
+            (lambda self: (key(self),)) if names else (lambda self: ()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        # for copy and pickle, which would set the slots one by one
+        return type(self), self._values(self)
+
+
+class Group(_Value):
     """A nonempty finite set of agent ids, kept sorted and duplicate-free."""
 
-    members: tuple[int, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        ms = agent_ids(self.members)
+    def __init__(self, members: tuple[int, ...]) -> None:
+        ms = agent_ids(members)
         if not ms:
             raise InputError("a group needs at least one agent")
         object.__setattr__(self, "members", ms)
@@ -129,20 +187,7 @@ def read_agents(text: str, what: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-class _Sealed:
-    """Takes no attributes: a frozen dataclass guards its fields, but
-    hands other names set on a subclass's instance up to this base."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class Formula(_Sealed):
+class Formula(_Value):
     """Base class of all formula nodes.  Nodes are immutable and hashable."""
 
     __slots__ = ()
@@ -151,62 +196,69 @@ class Formula(_Sealed):
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise InputError(f"an atom's name is a string, got {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if not isinstance(name, str):
+            raise InputError(f"an atom's name is a string, got {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Formula):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True, repr=False)
 class _Binary(Formula):
     """The shape of the binary connectives, one subclass each.  A node
     equals only a node of its own class."""
-    left: Formula
-    right: Formula
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Or(_Binary):
     """``left | right``"""
+    __slots__ = ()
 
 
 class And(_Binary):
     """``left & right``"""
+    __slots__ = ()
 
 
 class Implies(_Binary):
     """``left -> right``"""
+    __slots__ = ()
 
 
 class Iff(_Binary):
     """``left <-> right``"""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Box(Formula):
-    group: Group
-    body: Formula
+    __slots__ = ("group", "body")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, Group):
-            raise InputError(f"Box needs a Group, got {self.group!r}")
+    def __init__(self, group: Group, body: Formula) -> None:
+        if not isinstance(group, Group):
+            raise InputError(f"Box needs a Group, got {group!r}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "body", body)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ GeneralModel is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     ConstraintError, InputError, ModelFormatError, UnsupportedModelError,
 )
 from .formula import (
-    Group, _Sealed, agent_ids, read_agent, read_agents, read_text,
+    Group, _Value, agent_ids, read_agent, read_agents, read_text,
 )
 from .model import (
     AgentModel, Model, NeighbourhoodMap, WorldSet, _default_families,
@@ -43,68 +42,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _AgentCondition(_Sealed):
+class _AgentCondition(_Value):
     """The shape of the conditions on one agent's families."""
-    agent: int
 
-    def __post_init__(self) -> None:
-        agent_ids((self.agent,))
+    __slots__ = ("agent",)
+
+    def __init__(self, agent: int) -> None:
+        agent_ids((agent,))
+        object.__setattr__(self, "agent", agent)
 
 
 class Nec(_AgentCondition):
     """The full set W belongs to every family of the agent."""
+    __slots__ = ()
 
 
 class Conec(_AgentCondition):
     """The full set W belongs to no family of the agent."""
+    __slots__ = ()
 
 
 class P(_AgentCondition):
     """The empty set belongs to no family of the agent."""
+    __slots__ = ()
 
 
 class Cop(_AgentCondition):
     """The empty set belongs to every family of the agent."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PGroup:
+class PGroup(_Value):
     """The empty set is outside the group's (derived) family everywhere."""
-    group: Group
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, Group):
-            raise InputError(f"PGroup needs a Group, got {self.group!r}")
+    __slots__ = ("group",)
+
+    def __init__(self, group: Group) -> None:
+        if not isinstance(group, Group):
+            raise InputError(f"PGroup needs a Group, got {group!r}")
+        object.__setattr__(self, "group", group)
 
 
-@dataclass(frozen=True)
-class _EveryCondition(_Sealed):
+class _EveryCondition(_Value):
     """The shape of the conditions on every family alike."""
+    __slots__ = ()
 
 
 class Reflexive(_EveryCondition):
     """Every member of every family contains its own world."""
+    __slots__ = ()
 
 
 class BinaryConsistent(_EveryCondition):
     """No family contains both a set and its complement."""
+    __slots__ = ()
 
 
 class Monotone(_EveryCondition):
     """Families are closed under supersets."""
+    __slots__ = ()
 
 
 class IntersectionClosed(_EveryCondition):
     """Families are closed under binary (hence finite) intersections."""
+    __slots__ = ()
 
 
 FrameCondition = (Nec | Conec | P | Cop | PGroup | Reflexive
                   | BinaryConsistent | Monotone | IntersectionClosed)
 
 
-@dataclass(frozen=True)
-class FrameWitness:
+class FrameWitness(_Value):
     """Where a condition fails.
 
     ``subject`` is the agent or group concerned.  For presence
@@ -114,16 +122,23 @@ class FrameWitness:
     member that violates the condition.
     """
 
-    world: str
-    subject: "int | Group"
-    offending: WorldSet
+    __slots__ = ("world", "subject", "offending")
+
+    def __init__(self, world: str, subject: "int | Group",
+                 offending: WorldSet) -> None:
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "offending", offending)
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    holds: bool
-    witness: FrameWitness | None = None
-    note: str | None = None
+class ConditionVerdict(_Value):
+    __slots__ = ("holds", "witness", "note")
+
+    def __init__(self, holds: bool, witness: FrameWitness | None = None,
+                 note: str | None = None) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
 
 _Families = tuple[frozenset[int], ...]  # one per world

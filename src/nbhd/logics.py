@@ -45,7 +45,6 @@ unordered pair of groups once per world.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from importlib.resources import files as _package_files
 from itertools import product
@@ -57,8 +56,8 @@ from .errors import (
 )
 from .formula import (
     And, Atom, Bottom, Box, Formula, Group, Iff, Implies, Not, Or, Top,
-    _children, agent_ids, is_propositional_tautology, parse, read_agent,
-    read_text, render,
+    _Value, _children, agent_ids, is_propositional_tautology, parse,
+    read_agent, read_text, render,
 )
 from .frames import _BY_NAME
 from .model import (
@@ -93,7 +92,8 @@ __all__ = [
 def _box(names: tuple[str, ...], body: Formula) -> Box:
     """A pattern's box, past Box's check: its group is variable names."""
     box = object.__new__(Box)
-    box.__dict__.update(group=names, body=body)
+    object.__setattr__(box, "group", names)
+    object.__setattr__(box, "body", body)
     return box
 
 
@@ -153,20 +153,20 @@ _GROUP_VARS = {k: tuple(dict.fromkeys(v for b in bs for v in b if v != "A"))
                for k, bs in _BOXES.items()}
 
 
-@dataclass(frozen=True)
-class SchemaId:
-    kind: str
-    agent: int | None = None
+class SchemaId(_Value):
+    __slots__ = ("kind", "agent")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown schema kind {self.kind!r}")
-        if (self.kind in _AGENT_KINDS) != (self.agent is not None):
-            raise InputError(f"schema {self.kind} "
-                             + ("needs an agent" if self.kind in _AGENT_KINDS
+    def __init__(self, kind: str, agent: int | None = None) -> None:
+        if kind not in _KINDS:
+            raise InputError(f"unknown schema kind {kind!r}")
+        if (kind in _AGENT_KINDS) != (agent is not None):
+            raise InputError(f"schema {kind} "
+                             + ("needs an agent" if kind in _AGENT_KINDS
                                 else "takes no agent"))
-        if self.agent is not None:
-            agent_ids((self.agent,))
+        if agent is not None:
+            agent_ids((agent,))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "agent", agent)
 
     def __str__(self) -> str:
         return format_schema(self)
@@ -213,30 +213,30 @@ def format_schema(s: SchemaId) -> str:
 # Logic descriptors
 
 
-@dataclass(frozen=True)
-class LogicDescriptor:
+class LogicDescriptor(_Value):
     """Base schemas plus extensions; CG may replace B1 wholesale."""
 
-    extensions: frozenset[SchemaId] = frozenset()
-    replace_b1_with_cg: bool = False
+    __slots__ = ("extensions", "replace_b1_with_cg")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.replace_b1_with_cg, bool):
+    def __init__(self, extensions: frozenset[SchemaId] = frozenset(),
+                 replace_b1_with_cg: bool = False) -> None:
+        if not isinstance(replace_b1_with_cg, bool):
             raise InputError("replace_b1_with_cg must be a bool, got "
-                             f"{self.replace_b1_with_cg!r}")
-        if not hasattr(self.extensions, "__iter__"):
+                             f"{replace_b1_with_cg!r}")
+        if not hasattr(extensions, "__iter__"):
             raise InputError("extensions must be a collection of SchemaIds, "
-                             f"got {self.extensions!r}")
-        exts = frozenset(self.extensions)
+                             f"got {extensions!r}")
+        exts = frozenset(extensions)
         for s in exts:
             if not isinstance(s, SchemaId):
                 raise InputError(f"extensions are SchemaIds, got {s!r}")
             if s.kind in _BASE_KINDS:
                 raise InputError(f"{format_schema(s)} is part of the base, "
                                  "not an extension")
-        if self.replace_b1_with_cg:
+        if replace_b1_with_cg:
             exts |= {CG}
         object.__setattr__(self, "extensions", exts)
+        object.__setattr__(self, "replace_b1_with_cg", replace_b1_with_cg)
 
     def schemas(self) -> tuple[SchemaId, ...]:
         base = () if self.replace_b1_with_cg else (B1,)
@@ -352,14 +352,18 @@ def is_axiom_instance(f: Formula, l: LogicDescriptor
 # Semantic schema checking
 
 
-@dataclass(frozen=True)
-class CounterExample:
+class CounterExample(_Value):
     """A world plus metavariable assignment falsifying a schema instance."""
 
-    world: str
-    groups: tuple[tuple[str, Group], ...] = ()
-    sets: tuple[tuple[str, WorldSet], ...] = ()
-    agent: int | None = None
+    __slots__ = ("world", "groups", "sets", "agent")
+
+    def __init__(self, world: str, groups: tuple[tuple[str, Group], ...] = (),
+                 sets: tuple[tuple[str, WorldSet], ...] = (),
+                 agent: int | None = None) -> None:
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "agent", agent)
 
     def describe(self, labels: Sequence[str] | None = None) -> str:
         """One line; sets show world indices, or ``labels[i]`` for world i."""
@@ -387,11 +391,15 @@ def counterexample_to_dict(cx: CounterExample, m: Model) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SchemaVerdict:
-    valid: bool
-    counterexample: CounterExample | None = None
-    note: str | None = None
+class SchemaVerdict(_Value):
+    __slots__ = ("valid", "counterexample", "note")
+
+    def __init__(self, valid: bool,
+                 counterexample: CounterExample | None = None,
+                 note: str | None = None) -> None:
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "note", note)
 
 
 @lru_cache(maxsize=256)
@@ -668,62 +676,77 @@ def check_schema_semantically(m: Model, s: SchemaId, mode: str = "all-subsets",
 # Proofs
 
 
-@dataclass(frozen=True)
-class Taut:
-    pass
+class Taut(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomRef:
-    schema: SchemaId
-    binding: "tuple[tuple[str, Group | Formula], ...] | None" = None
+class AxiomRef(_Value):
+    __slots__ = ("schema", "binding")
+
+    def __init__(self, schema: SchemaId, binding: tuple[
+            tuple[str, Group | Formula], ...] | None = None) -> None:
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "binding", binding)
 
 
-@dataclass(frozen=True)
-class MP:
-    premise: int
-    implication: int
+class MP(_Value):
+    __slots__ = ("premise", "implication")
+
+    def __init__(self, premise: int, implication: int) -> None:
+        object.__setattr__(self, "premise", premise)
+        object.__setattr__(self, "implication", implication)
 
 
-@dataclass(frozen=True)
-class RE:
-    source: int
-    group: Group
+class RE(_Value):
+    __slots__ = ("source", "group")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.group, Group):
-            raise InputError(f"RE needs a Group, got {self.group!r}")
+    def __init__(self, source: int, group: Group) -> None:
+        if not isinstance(group, Group):
+            raise InputError(f"RE needs a Group, got {group!r}")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "group", group)
 
 
 Justification = Taut | AxiomRef | MP | RE
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
-    justification: Justification
+class ProofLine(_Value):
+    __slots__ = ("formula", "justification")
+
+    def __init__(self, formula: Formula, justification: Justification) -> None:
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class Proof:
-    lines: tuple[ProofLine, ...]
+class Proof(_Value):
+    __slots__ = ("lines",)
+
+    def __init__(self, lines: tuple[ProofLine, ...]) -> None:
+        object.__setattr__(self, "lines", lines)
 
 
-@dataclass(frozen=True)
-class ProofFile:
+class ProofFile(_Value):
     """A proof plus its logic, optionally with an entailment goal."""
 
-    proof: Proof
-    logic: LogicDescriptor
-    gamma: tuple[Formula, ...] | None = None
-    phi: Formula | None = None
+    __slots__ = ("proof", "logic", "gamma", "phi")
+
+    def __init__(self, proof: Proof, logic: LogicDescriptor,
+                 gamma: tuple[Formula, ...] | None = None,
+                 phi: Formula | None = None) -> None:
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "logic", logic)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class ProofVerdict:
-    accepted: bool
-    line: int | None = None
-    reason: str | None = None
+class ProofVerdict(_Value):
+    __slots__ = ("accepted", "line", "reason")
+
+    def __init__(self, accepted: bool, line: int | None = None,
+                 reason: str | None = None) -> None:
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "reason", reason)
 
 
 def _earlier(ref: object, idx: int) -> bool:

@@ -20,15 +20,14 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 from .errors import (
     InputError, ModelFormatError, NbhdError, UnknownWorldError, guard, limit,
 )
 from .formula import (
-    _CONNECTIVES, Atom, Bottom, Box, Formula, Group, Not, Or, Top, _children,
-    agent_ids, read_agent, read_agents, render,
+    _CONNECTIVES, Atom, Bottom, Box, Formula, Group, Not, Or, Top, _Value,
+    _children, agent_ids, read_agent, read_agents, render,
 )
 
 __all__ = [
@@ -48,25 +47,26 @@ def _show(value: object) -> str:
         return f"<int of {value.bit_length()} bits>"
 
 
-@dataclass(frozen=True)
-class World:
-    index: int
-    label: str
+class World(_Value):
+    __slots__ = ("index", "label")
+
+    def __init__(self, index: int, label: str) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class WorldSet:
+class WorldSet(_Value):
     """A set of worlds as a bit vector over a fixed domain size."""
 
-    bits: int
-    size: int
+    __slots__ = ("bits", "size")
 
-    def __post_init__(self) -> None:
-        bits, size = self.bits, self.size
+    def __init__(self, bits: int, size: int) -> None:
         if not (isinstance(bits, int) and isinstance(size, int) and size >= 0
                 and 0 <= bits < (1 << size)):
             raise InputError(f"bits {_show(bits)} out of range for "
                              f"{_show(size)} worlds")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "size", size)
 
     @classmethod
     def empty(cls, size: int) -> "WorldSet":
@@ -224,32 +224,39 @@ def _check_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
                                    "wrong size")
 
 
-@dataclass(frozen=True)
-class AgentModel:
+def _fill(m: "Model", worlds: tuple[World, ...],
+          valuation: Mapping[str, WorldSet], maps: Mapping) -> "Model":
+    """``m`` with its fields set and its two caches empty; the caches are
+    not fields, so no comparison, hash or repr sees them."""
+    put = object.__setattr__
+    put(m, "worlds", worlds)
+    put(m, "valuation", valuation)
+    put(m, m._fields[2], maps)  # "agents" or "groups"
+    put(m, "_group_cache", {})
+    put(m, "_code_cache", {})
+    return m
+
+
+class AgentModel(_Value):
     """Neighbourhood model with agent-indexed primitive families."""
 
-    worlds: tuple[World, ...]
-    valuation: Mapping[str, WorldSet]
-    agents: Mapping[int, NeighbourhoodMap]
-    _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _code_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("worlds", "valuation", "agents", "_group_cache", "_code_cache")
 
-    def __post_init__(self) -> None:
-        _check_model(self.worlds, self.valuation, self.agents, "agent")
+    def __init__(self, worlds: tuple[World, ...],
+                 valuation: Mapping[str, WorldSet],
+                 agents: Mapping[int, NeighbourhoodMap]) -> None:
+        _check_model(worlds, valuation, agents, "agent")
+        _fill(self, worlds, valuation, agents)
 
 
 def _agent_model(worlds: tuple[World, ...], valuation: Mapping[str, WorldSet],
                  agents: Mapping[int, NeighbourhoodMap]) -> AgentModel:
     """``AgentModel(worlds, valuation, agents)`` without its checks, for
     search, which builds these fields from checked bounds."""
-    m = object.__new__(AgentModel)
-    vars(m).update(worlds=worlds, valuation=valuation, agents=agents,
-                   _group_cache={}, _code_cache={})
-    return m
+    return _fill(object.__new__(AgentModel), worlds, valuation, agents)
 
 
-@dataclass(frozen=True)
-class GeneralModel:
+class GeneralModel(_Value):
     """Neighbourhood model with group-indexed primitive families.
 
     Groups without an entry get the family ``{empty set}``, which makes
@@ -257,14 +264,13 @@ class GeneralModel:
     the empty truth set.
     """
 
-    worlds: tuple[World, ...]
-    valuation: Mapping[str, WorldSet]
-    groups: Mapping[Group, NeighbourhoodMap]
-    _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _code_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("worlds", "valuation", "groups", "_group_cache", "_code_cache")
 
-    def __post_init__(self) -> None:
-        _check_model(self.worlds, self.valuation, self.groups, "group")
+    def __init__(self, worlds: tuple[World, ...],
+                 valuation: Mapping[str, WorldSet],
+                 groups: Mapping[Group, NeighbourhoodMap]) -> None:
+        _check_model(worlds, valuation, groups, "group")
+        _fill(self, worlds, valuation, groups)
 
 
 # ``|`` rather than typing.Union, whose cache would keep these classes,

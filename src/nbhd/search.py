@@ -16,13 +16,12 @@ to have the finite model property.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GUARDS, ConstraintError, InputError, guard, limit, limits_read_once,
 )
-from .formula import Formula, Group, agent_ids
+from .formula import Formula, Group, _Value, agent_ids
 from .frames import (
     FrameCondition, _BY_CLASS, _CONDITIONS, _named_agents, _repair,
     check_condition, format_condition,
@@ -99,8 +98,7 @@ def _collection(bounds: "SearchBounds", name: str, what: str) -> tuple:
     return value
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_Value):
     """Search space plus generation mode.
 
     Exhaustive mode is guarded (at most 2 worlds, 2 agents, 2 atoms:
@@ -110,15 +108,20 @@ class SearchBounds:
     a family code.
     """
 
-    max_worlds: int
-    agents: tuple[int, ...]
-    atoms: tuple[str, ...] = ()
-    mode: str = "random"
-    trials: int = 1000
-    seed: "int | None" = None
-    frame_constraints: tuple[FrameCondition, ...] = ()
+    __slots__ = ("max_worlds", "agents", "atoms", "mode", "trials", "seed",
+                 "frame_constraints")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_worlds: int, agents: tuple[int, ...],
+                 atoms: tuple[str, ...] = (), mode: str = "random",
+                 trials: int = 1000, seed: int | None = None,
+                 frame_constraints: tuple[FrameCondition, ...] = ()) -> None:
+        object.__setattr__(self, "max_worlds", max_worlds)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "frame_constraints", frame_constraints)
         for name in ("max_worlds", "trials", "seed"):
             value = getattr(self, name)
             if not (isinstance(value, int) and not isinstance(value, bool)
@@ -273,29 +276,32 @@ def exhaustive_models(bounds: SearchBounds) -> Iterator[AgentModel]:
 # Countermodel search
 
 
-@dataclass(frozen=True)
-class SchemaTarget:
+class SchemaTarget(_Value):
     """A schema to refute, with the checking mode and group pool."""
 
-    schema: SchemaId
-    mode: str = "all-subsets"
-    pool: "tuple[Group, ...] | None" = None
+    __slots__ = ("schema", "mode", "pool")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.schema, SchemaId):
+    def __init__(self, schema: SchemaId, mode: str = "all-subsets",
+                 pool: tuple[Group, ...] | None = None) -> None:
+        if not isinstance(schema, SchemaId):
             raise InputError("a schema target needs a SchemaId, "
-                             f"got {self.schema!r}")
-        _check_mode(self.mode)
-        if self.pool is not None:
-            object.__setattr__(self, "pool", _group_pool(self.pool, True))
+                             f"got {schema!r}")
+        _check_mode(mode)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "pool", None if pool is None
+                           else _group_pool(pool, True))
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    model: AgentModel
-    witness: "str | CounterExample"
-    draw: "int | None" = None
-    index: "int | None" = None
+class SearchResult(_Value):
+    __slots__ = ("model", "witness", "draw", "index")
+
+    def __init__(self, model: AgentModel, witness: str | CounterExample,
+                 draw: int | None = None, index: int | None = None) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "draw", draw)
+        object.__setattr__(self, "index", index)
 
 
 def _refutes(m: AgentModel, target: "Formula | SchemaTarget"
@@ -348,19 +354,25 @@ def required_constraints(l: LogicDescriptor,
     return tuple(dict.fromkeys(out))
 
 
-@dataclass(frozen=True)
-class Violation:
-    draw: int
-    model: AgentModel
-    schema: SchemaId
-    witness: CounterExample
+class Violation(_Value):
+    __slots__ = ("draw", "model", "schema", "witness")
+
+    def __init__(self, draw: int, model: AgentModel, schema: SchemaId,
+                 witness: CounterExample) -> None:
+        object.__setattr__(self, "draw", draw)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class FuzzReport:
-    trials: int
-    schemas: tuple[SchemaId, ...]
-    violations: tuple[Violation, ...] = field(default=())
+class FuzzReport(_Value):
+    __slots__ = ("trials", "schemas", "violations")
+
+    def __init__(self, trials: int, schemas: tuple[SchemaId, ...],
+                 violations: tuple[Violation, ...] = ()) -> None:
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "schemas", schemas)
+        object.__setattr__(self, "violations", violations)
 
     def to_text(self) -> str:
         lines = [

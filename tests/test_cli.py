@@ -176,16 +176,34 @@ def test_valid_bad_agent_ids(capsys, argv, message):
 
 
 # An empty value is an empty list, not a missing option: it must not
-# fall back to the default pool or agents.
+# fall back to the default pool, agents or atoms.
 @pytest.mark.parametrize("argv,message", [
     (("--schema", "b2", "--pool", ""), "empty group pool ''"),
     (("--schema", "b2", "--pool", " "), "empty group pool ' '"),
     (("--formula", "p", "--agents", ""), "agents must be distinct and nonempty"),
     (("--formula", "p", "--agents", ","), "agents must be distinct and nonempty"),
+    # without p the search would miss the countermodel it finds by default
+    (("--formula", "p -> [1]p", "--atoms", ""), "empty atom list ''"),
+    (("--formula", "p -> [1]p", "--atoms", ","), "empty atom list ','"),
+    (("--schema", "b2", "--atoms", " "), "empty atom list ' '"),
 ])
 def test_valid_empty_pool_or_agents(capsys, argv, message):
     code, out, err = run(capsys, "valid", *argv)
     assert (code, out, err) == (2, [], f"error: {message}\n")
+
+
+def test_valid_atoms_replace_the_formula_atoms(capsys):
+    found = "countermodel found at index {}: false at w0"
+    code, out, _ = run(capsys, "valid", "--formula", "p -> [1]p")
+    assert (code, out[0]) == (1, found.format(4))
+    assert run(capsys, "valid", "--formula", "p -> [1]p", "--atoms", "p")[1] \
+        == out
+    # q's valuation is the last code, so each candidate over p alone now
+    # comes once per valuation of q on the one world
+    code, out, _ = run(capsys, "valid", "--formula", "p -> [1]p",
+                       "--atoms", " p , q")
+    assert (code, out[0]) == (1, found.format(8))
+    assert '"valuation": {"p": ["w0"], "q": []}' in out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +586,27 @@ def test_no_bare_value_error_is_raised_or_caught_as_bad_input():
               if isinstance(node, ast.Try) for handler in node.handlers]
     # SystemExit is argparse leaving on --help or a usage error
     assert caught == ["SystemExit", "NbhdError"]
+
+
+def test_no_dataclass_exec_or_eval_in_the_package():
+    # values are slotted classes: class creation runs no generated code
+    package = pathlib.Path(nbhd.__file__).parent
+    banned = {"dataclass", "exec", "eval"}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            assert name not in banned, f"{path.name}:{node.lineno} uses {name}"
+
+
+def test_import_leaves_dataclasses_unloaded():
+    src = os.path.dirname(os.path.dirname(nbhd.__file__))
+    probe = "import sys, nbhd.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "False\n"
 
 
 def test_import_builds_no_parser():

@@ -221,7 +221,8 @@ def test_private_constructor_builds_the_same_model():
     built = _agent_model(worlds, valuation, agents)
     direct = AgentModel(worlds, valuation, agents)
     assert type(built) is AgentModel
-    assert built == direct and vars(built) == vars(direct)
+    assert built == direct and [getattr(built, n) for n in AgentModel.__slots__] \
+        == [getattr(direct, n) for n in AgentModel.__slots__]
     assert built._group_cache is not _agent_model(worlds, valuation,
                                                   agents)._group_cache
     with pytest.raises(ModelFormatError, match="wrong size"):
@@ -542,6 +543,14 @@ def test_star_default_families():
     ({"worlds": ["a"], "groups": {"1,-1": {"a": []}}}, "bad group key"),
     ({"worlds": ["a"], "valuation": {"p": [["a"]]}, "agents": {}},
      "valuation of 'p': unknown world ['a']"),
+    ({"worlds": ["a"], "agents": {"1": {"a": ["a"]}}},
+     "agent 1, world 'a': expected a list of world labels"),
+    ({"worlds": ["a"], "groups": {"1": {"a": [[], "a"]}}},
+     "group 1, world 'a': expected a list of world labels"),
+    ({"worlds": ["a"], "agents": {"1": [["a"]]}},
+     "agent 1: expected a mapping of worlds to families"),
+    ({"worlds": ["a", "b"], "agents": {"1": {"a": []}}},
+     "agent 1: no family for world 'b'"),
 ])
 def test_model_from_dict_errors(data, fragment):
     with pytest.raises(ModelFormatError) as exc:
